@@ -1,4 +1,7 @@
-type extent = { mutable lo : int array; mutable hi : int array }
+(* Extents grow element-wise during the dry scan and are never written
+   again once the store is frozen, so frozen stores and shapes may share
+   them. *)
+type extent = { lo : int array; hi : int array }
 
 type store = {
   ext : extent;
@@ -28,8 +31,19 @@ let note_bounds t name idx =
           if v > s.ext.hi.(k) then s.ext.hi.(k) <- v)
         idx
 
-let initial_value name idx =
-  float_of_int (Hashtbl.hash (name, idx) mod 1000) /. 97.0
+(* Initial values: splitmix64's finalizer (multipliers truncated to
+   63-bit ints, still odd, so each round stays a bijection) seeded with
+   the name's hash and folded over the indices; the top 31 bits of the
+   result pick one of 1000 values in [0, 10.3). *)
+let mix z =
+  let z = (z lxor (z lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
+  z lxor (z lsr 31)
+
+let name_seed name = mix (Hashtbl.hash name)
+let step h v = mix (h + (v * 0x1e3779b97f4a7c15))
+let value h = float_of_int (((h lsr 32) * 1000) lsr 31) /. 97.0
+let initial_value name idx = value (List.fold_left step (name_seed name) idx)
 
 let cell_count ext =
   Array.fold_left ( * ) 1
@@ -44,28 +58,49 @@ let offset ext idx =
     idx;
   !acc
 
-(* Rebuild the index tuple of a flat offset, to seed initial values. *)
-let idx_of_offset ext off =
-  let n = Array.length ext.lo in
-  let idx = Array.make n 0 in
-  let off = ref off in
-  for k = n - 1 downto 0 do
-    let w = ext.hi.(k) - ext.lo.(k) + 1 in
-    idx.(k) <- (!off mod w) + ext.lo.(k);
-    off := !off / w
-  done;
-  Array.to_list idx
+(* The seeded backing array: indices are walked in row-major (odometer)
+   order, carrying the hash of each index prefix down the dimensions, so
+   every cell costs one [step] and nothing is allocated but the array. *)
+let seed name ext =
+  let lo = ext.lo and hi = ext.hi in
+  let rank = Array.length lo in
+  let data = Array.create_float (cell_count ext) in
+  (* Cell [v] of dimension [k] lies at [base + v] after rebasing. *)
+  let rec fill k h base =
+    let l = lo.(k) in
+    let base = (base * (hi.(k) - l + 1)) - l in
+    if k = rank - 1 then
+      for v = l to hi.(k) do
+        data.(base + v) <- value (step h v)
+      done
+    else
+      for v = l to hi.(k) do
+        fill (k + 1) (step h v) (base + v)
+      done
+  in
+  if rank = 0 then data.(0) <- value (name_seed name)
+  else fill 0 (name_seed name) 0;
+  data
 
 let freeze t =
   if not t.frozen then begin
-    Hashtbl.iter
-      (fun name s ->
-        let n = cell_count s.ext in
-        s.data <-
-          Array.init n (fun off -> initial_value name (idx_of_offset s.ext off)))
-      t.tbl;
+    Hashtbl.iter (fun name s -> s.data <- seed name s.ext) t.tbl;
     t.frozen <- true
   end
+
+type shape = (string * extent) list
+
+let shape t =
+  if not t.frozen then invalid_arg "Arrays.shape: freeze first";
+  Hashtbl.fold (fun name s acc -> (name, s.ext) :: acc) t.tbl []
+
+let of_shape sh =
+  let t = create () in
+  List.iter
+    (fun (name, ext) -> Hashtbl.replace t.tbl name { ext; data = seed name ext })
+    sh;
+  t.frozen <- true;
+  t
 
 let get t name idx =
   match Hashtbl.find_opt t.tbl name with
@@ -129,4 +164,13 @@ let max_abs_diff a b =
       | _ -> infinity)
     0.0 (arrays a)
 
-let equal a b = arrays a = arrays b && max_abs_diff a b = 0.0
+let same_extents a b name =
+  match (Hashtbl.find_opt a.tbl name, Hashtbl.find_opt b.tbl name) with
+  | Some sa, Some sb -> sa.ext = sb.ext
+  | _ -> false
+
+let equal a b =
+  let names = arrays a in
+  names = arrays b
+  && List.for_all (same_extents a b) names
+  && max_abs_diff a b = 0.0

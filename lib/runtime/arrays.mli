@@ -2,9 +2,14 @@
 
     Extents are discovered by a dry scan of every subscript the program will
     evaluate, so negative and parametric indices (as in the Cholesky kernel)
-    are handled by offsetting.  Cells start with a deterministic per-cell
-    value derived from the array name and indices, so two executions agree
-    iff they perform the same writes in an equivalent order. *)
+    are handled by offsetting.  The frozen extents form a {!shape}, from
+    which further stores are built without repeating the scan.
+
+    Cells start with a deterministic per-cell value ({!initial_value}): an
+    avalanche hash of the array name and indices, so neighbouring cells
+    almost always differ and two executions agree iff they perform the
+    same writes in an equivalent order.  Seeding walks each array's
+    indices in row-major order and allocates nothing per cell. *)
 
 type t
 
@@ -22,7 +27,23 @@ val get : t -> string -> int list -> float
 val set : t -> string -> int list -> float -> unit
 
 val initial_value : string -> int list -> float
-(** The deterministic initial cell value. *)
+(** The deterministic initial cell value: splitmix64's finalizer, seeded
+    with [Hashtbl.hash name] and folded over each index in order, mapped to
+    one of 1000 values in [\[0, 10.3)].  {!freeze} and {!of_shape} seed
+    every cell with it, and {!get} returns it outside the extents. *)
+
+type shape
+(** The frozen extents of a store: each array's name and per-dimension
+    lower and upper bounds.  Immutable. *)
+
+val shape : t -> shape
+(** The extents of a frozen store; raises [Invalid_argument] before
+    {!freeze}. *)
+
+val of_shape : shape -> t
+(** A fresh frozen store with the given extents, every cell seeded with
+    {!initial_value} — equal to the store the shape was taken from as it
+    was when frozen, and sharing no data with it. *)
 
 type view = {
   v_lo : int array;  (** per-dimension scanned lower bound *)

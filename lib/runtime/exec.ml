@@ -300,7 +300,11 @@ let run_phase_timed ?(sink = Obs.Sink.null) ~pool ~chunking prepared ~threads
 let run_timed ?(sink = Obs.Sink.null) ?(engine = `Compiled)
     ?(chunking = `Cost Sim.base_seconds) ?workers env ~threads s =
   let threads = max 1 threads in
-  let store = Interp.scan_bounds env in
+  let store =
+    let memo = if Interp.memoized env then "hit" else "miss" in
+    Obs.Span.with_ ~sink ~name:"store" ~args:[ ("memo", memo) ] (fun () ->
+        Interp.scan_bounds env)
+  in
   (* Engine setup — kernel compilation and, for the bytecode engine,
      per-phase work packing — happens outside the timed region, like
      store setup: [seconds] measures execution of the hot loop. *)

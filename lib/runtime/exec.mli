@@ -81,8 +81,11 @@ type phase_stat = {
 
 type timed = {
   store : Arrays.t;  (** final array store *)
-  seconds : float;  (** total wall time (store setup, kernel compilation
-                        and bytecode work packing excluded) *)
+  seconds : float;
+      (** total wall time of the phases.  Excluded: store set-up (O(cells)
+          seeding from the env's memoized shape after the first
+          {!Interp.scan_bounds} on it; the [store] span), kernel
+          compilation and bytecode work packing (the [compile] span) *)
   phase_stats : phase_stat list;  (** one entry per phase, in order *)
 }
 
@@ -101,8 +104,10 @@ val run_timed :
     execution engine; [chunking] (default [`Cost Sim.base_seconds])
     selects the chunk policy; [workers] (default: a transient pool created
     and shut down inside this call) supplies a persistent executor pool;
-    [sink] (default {!Obs.Sink.null}) receives phase/bucket/task spans
-    when recording. *)
+    [sink] (default {!Obs.Sink.null}) receives store/compile/phase/
+    bucket/task spans when recording; the [store] span carries
+    [("memo", "hit" | "miss")] — whether the env's shape was already
+    memoized. *)
 
 val run :
   ?engine:engine ->

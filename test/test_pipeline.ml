@@ -236,8 +236,17 @@ let test_run_with_recording_sink () =
         [
           "run:example2"; "stage:classify"; "stage:materialize";
           "stage:schedule"; "stage:validate"; "stage:execute"; "seq-interp";
-          "phase:P1"; "phase:P2-chains"; "phase:P3"; "task";
+          "phase:P1"; "phase:P2-chains"; "phase:P3"; "task"; "store";
         ];
+      (* The oracle run walked the program, so execution seeds its store
+         from the memoized shape. *)
+      List.iter
+        (fun (s : Obs.Sink.span) ->
+          if s.Obs.Sink.name = "store" then
+            Alcotest.(check (option string))
+              "store span memo" (Some "hit")
+              (List.assoc_opt "memo" s.Obs.Sink.args))
+        (Obs.Sink.spans sink);
       (* Load-imbalance breakdown is present and sane. *)
       (match report.Report.balance with
       | None -> Alcotest.fail "balance missing"

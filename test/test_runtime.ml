@@ -41,10 +41,157 @@ let test_arrays_equal () =
   let a = mk () and b = mk () in
   Alcotest.(check bool) "fresh equal" true (Arrays.equal a b);
   Arrays.set a "x" [ 2 ] 1.0;
-  Alcotest.(check bool) "diverged" false (Arrays.equal a b)
+  Alcotest.(check bool) "diverged" false (Arrays.equal a b);
+  (* A 2×3 and a 3×2 store holding the same six values differ. *)
+  let grid rows cols =
+    let s = Arrays.create () in
+    Arrays.note_bounds s "g" [ 1; 1 ];
+    Arrays.note_bounds s "g" [ rows; cols ];
+    Arrays.freeze s;
+    let v = Option.get (Arrays.view s "g") in
+    Array.iteri (fun k _ -> v.Arrays.v_data.(k) <- float_of_int k) v.Arrays.v_data;
+    s
+  in
+  let wide = grid 2 3 and tall = grid 3 2 in
+  Alcotest.(check (float 0.0)) "same data" 0.0 (Arrays.max_abs_diff wide tall);
+  Alcotest.(check bool) "extents differ" false (Arrays.equal wide tall)
+
+(* Every index tuple of the box [lo, hi], in row-major order. *)
+let rec box lo hi =
+  match (lo, hi) with
+  | [], [] -> [ [] ]
+  | l :: lo, h :: hi ->
+      let rest = box lo hi in
+      List.concat_map (fun v -> List.map (fun r -> v :: r) rest)
+        (List.init (h - l + 1) (( + ) l))
+  | _ -> invalid_arg "box"
+
+let test_arrays_seeding () =
+  (* Seeding walks cells in row-major order; each must hold exactly the
+     value [initial_value] computes for its index, at every rank. *)
+  let cases =
+    [
+      ("z", [], []);
+      ("v", [ -4 ], [ 6 ]);
+      ("m", [ -3; 2 ], [ 5; 7 ]);
+      ("c", [ -2; -1; 0 ], [ 1; 3; 2 ]);
+    ]
+  in
+  let s = Arrays.create () in
+  List.iter
+    (fun (name, lo, hi) ->
+      Arrays.note_bounds s name lo;
+      Arrays.note_bounds s name hi)
+    cases;
+  Arrays.freeze s;
+  List.iter
+    (fun (name, lo, hi) ->
+      let cells = box lo hi in
+      Alcotest.(check int)
+        (name ^ " cell count")
+        (List.length cells)
+        (Array.length (Option.get (Arrays.view s name)).Arrays.v_data);
+      List.iter
+        (fun idx ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s(%s)" name
+               (String.concat "," (List.map string_of_int idx)))
+            (Arrays.initial_value name idx)
+            (Arrays.get s name idx))
+        cells)
+    cases;
+  (* Neighbours almost always differ, so a misordered write shows. *)
+  let g = Arrays.create () in
+  Arrays.note_bounds g "g" [ 1; 1 ];
+  Arrays.note_bounds g "g" [ 64; 64 ];
+  Arrays.freeze g;
+  let pairs = ref 0 and same = ref 0 in
+  for i = 1 to 64 do
+    for j = 1 to 64 do
+      let v = Arrays.get g "g" [ i; j ] in
+      List.iter
+        (fun (i', j') ->
+          if i' <= 64 && j' <= 64 then begin
+            incr pairs;
+            if Arrays.get g "g" [ i'; j' ] = v then incr same
+          end)
+        [ (i, j + 1); (i + 1, j) ]
+    done
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d adjacent pairs equal" !same !pairs)
+    true
+    (100 * !same <= !pairs)
 
 (* ------------------------------------------------------------------ *)
 (* Interpreter                                                          *)
+
+let cholesky_env () =
+  Interp.prepare Loopir.Builtin.cholesky
+    ~params:[ ("nmat", 2); ("m", 2); ("n", 5); ("nrhs", 1) ]
+
+let test_scan_memo_hit () =
+  (* The second scan on an env seeds from the recorded shape; it must
+     match a scan that walks a fresh env, and own its data. *)
+  let env = cholesky_env () in
+  Alcotest.(check bool) "fresh env" false (Interp.memoized env);
+  let miss = Interp.scan_bounds env in
+  Alcotest.(check bool) "recorded" true (Interp.memoized env);
+  let hit = Interp.scan_bounds env in
+  let walked = Interp.scan_bounds (cholesky_env ()) in
+  Alcotest.(check (list string)) "arrays" (Arrays.arrays walked)
+    (Arrays.arrays hit);
+  List.iter
+    (fun name ->
+      let w = Option.get (Arrays.view walked name)
+      and h = Option.get (Arrays.view hit name) in
+      Alcotest.(check (array int)) (name ^ " lo") w.Arrays.v_lo h.Arrays.v_lo;
+      Alcotest.(check (array int)) (name ^ " hi") w.Arrays.v_hi h.Arrays.v_hi;
+      Alcotest.(check bool)
+        (name ^ " bit-equal data")
+        true
+        (Array.for_all2
+           (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+           w.Arrays.v_data h.Arrays.v_data))
+    (Arrays.arrays walked);
+  Alcotest.(check bool) "hit ≡ walked" true (Arrays.equal hit walked);
+  Alcotest.(check bool) "hit ≡ miss" true (Arrays.equal hit miss);
+  let name = List.hd (Arrays.arrays hit) in
+  let v = Option.get (Arrays.view hit name) in
+  v.Arrays.v_data.(0) <- v.Arrays.v_data.(0) +. 1.0;
+  Alcotest.(check bool) "write not seen by the first store" true
+    (Arrays.equal miss walked);
+  Alcotest.(check bool) "write not seen by a later store" true
+    (Arrays.equal (Interp.scan_bounds env) walked);
+  Alcotest.(check bool) "written store differs" false (Arrays.equal hit walked)
+
+let test_scan_failure_not_memoized () =
+  (* [i * k] overflows at i = 2: every scan must raise, not just the
+     first, or compiled kernels would run unchecked subscripts. *)
+  let prog =
+    Loopir.Parser.parse ~name:"overflow" "DO i = 1, 2\n  a(i*k) = 1.0\nENDDO"
+  in
+  let env = Interp.prepare prog ~params:[ ("k", (max_int / 2) + 1) ] in
+  for call = 1 to 2 do
+    match Interp.scan_bounds env with
+    | _ -> Alcotest.failf "scan %d did not raise" call
+    | exception Numeric.Safeint.Overflow ->
+        Alcotest.(check bool) "nothing recorded" false (Interp.memoized env)
+  done
+
+let test_scan_first_call_race () =
+  (* Two domains race the first scan on each fresh env; both stores, and
+     the one seeded from whichever shape won, equal a walked reference. *)
+  let reference = Interp.scan_bounds (cholesky_env ()) in
+  for _ = 1 to 8 do
+    let env = cholesky_env () in
+    let ds = List.init 2 (fun _ -> Domain.spawn (fun () -> Interp.scan_bounds env)) in
+    List.iter
+      (fun s -> Alcotest.(check bool) "racer ≡ reference" true (Arrays.equal s reference))
+      (List.map Domain.join ds);
+    Alcotest.(check bool) "memo ≡ reference" true
+      (Arrays.equal (Interp.scan_bounds env) reference)
+  done
 
 let test_interp_prefix_sum () =
   let prog = List.assoc "prefix_sum" Loopir.Builtin.corpus in
@@ -404,15 +551,25 @@ let test_bytecode_matches_interp_corpus () =
       let params = List.map (fun p -> (p, 8)) prog.Loopir.Ast.params in
       let tr = Trace.build prog ~params in
       let sched = Sched.sequential_of_trace tr in
+      let oracle = Interp.run_sequential (Interp.prepare prog ~params) in
+      (* Each env's first run walks the program for its store (memo
+         miss); every later run seeds from the recorded shape (hit). *)
       let env = Interp.prepare prog ~params in
-      let oracle = Interp.run_sequential env in
       List.iter
         (fun threads ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: bytecode t=%d ≡ sequential interp" name
-               threads)
-            true
-            (Arrays.equal (Exec.run ~engine:`Bytecode env ~threads sched) oracle))
+          List.iter
+            (fun memo ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: memo %s before t=%d" name memo threads)
+                (memo = "hit") (Interp.memoized env);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: bytecode t=%d (memo %s) ≡ sequential interp"
+                   name threads memo)
+                true
+                (Arrays.equal
+                   (Exec.run_timed ~engine:`Bytecode env ~threads sched).Exec.store
+                   oracle))
+            (if threads = 1 then [ "miss"; "hit" ] else [ "hit" ]))
         [ 1; 2; 4 ])
     Loopir.Builtin.corpus
 
@@ -707,9 +864,17 @@ let () =
         [
           Alcotest.test_case "extents and values" `Quick test_arrays_basic;
           Alcotest.test_case "equality" `Quick test_arrays_equal;
+          Alcotest.test_case "seeded cells, ranks 0-3" `Quick
+            test_arrays_seeding;
         ] );
       ( "interp",
         [
+          Alcotest.test_case "memoized scan ≡ fresh scan, unaliased" `Quick
+            test_scan_memo_hit;
+          Alcotest.test_case "failed scan not memoized" `Quick
+            test_scan_failure_not_memoized;
+          Alcotest.test_case "racing first scans agree" `Quick
+            test_scan_first_call_race;
           Alcotest.test_case "prefix sum semantics" `Quick
             test_interp_prefix_sum;
           Alcotest.test_case "sequential schedule ≡ program" `Quick
