@@ -1480,25 +1480,17 @@ let service_bench () =
 (* ------------------------------------------------------------------ *)
 (* E12 — execution engines → BENCH_exec.json                            *)
 
-(* Compiled vs bytecode vs interpreted execution of the same REC schedule
-   (example1) on 1/2/4 domains, a whole-corpus t=1 engine sweep, and the
-   static-vs-cost chunking idle comparison on coupled_stretch.  Wall
-   times are machine-dependent and stay plain fields; the deterministic
-   facts — instance count, semantic equivalence — go under
-   "metrics"/"counters" where the gate checks them, together with two
-   regression-oriented ratio counters (they RISE when the new engine or
-   chunking stops paying off, which is the direction the gate flags):
-   [corpus_wall_vs_compiled_pct] (summed bytecode corpus wall as % of
-   compiled at t=1 — the single-kernel example1 ratio stays a plain
-   [speedup_vs_compiled] field, its ~30µs wall is too noisy to gate) and
-   [idle_vs_static_pct] (cost-chunking per-barrier idle as % of static).
-   Each configuration is run [reps] times and the fastest execute time
-   (or the median idle) is kept: the comparison is about the engine, not
-   scheduler jitter. *)
+(* Compiled vs interpreted execution of the same REC schedule (example1)
+   on 1/2/4 domains, a whole-corpus t=1 sweep of the compiled engine, and
+   the per-barrier idle of cost chunking on coupled_stretch.  Wall times
+   are machine-dependent and stay plain fields; the deterministic facts —
+   instance and kernel counts, semantic equivalence — go under
+   "metrics"/"counters" where the gate checks them, next to the idle
+   percentages.  Each configuration is run [reps] times and the fastest
+   execute time (or the median idle) is kept: the comparison is about the
+   engine, not scheduler jitter. *)
 let exec_bench () =
-  section
-    "E12 / execution engines: BENCH_exec.json (compiled vs bytecode vs \
-     interp)";
+  section "E12 / execution engines: BENCH_exec.json (compiled vs interp)";
   let sc = if quick then 1 else 2 in
   let prog = Loopir.Builtin.example1 in
   let params = [ ("n1", 30 * sc); ("n2", 50 * sc) ] in
@@ -1533,7 +1525,7 @@ let exec_bench () =
       (fun engine ->
         ( engine,
           List.map (fun t -> (t, run_one ~engine ~threads:t)) thread_counts ))
-      [ `Compiled; `Bytecode; `Interp ]
+      [ `Compiled; `Interp ]
   in
   let exec_s (r : Pipeline.Report.t) =
     Option.value r.Pipeline.Report.par_seconds ~default:nan
@@ -1625,7 +1617,7 @@ let exec_bench () =
           ])
       runs
   in
-  (* --- whole-corpus t=1 engine sweep --------------------------------- *)
+  (* --- whole-corpus t=1 compiled sweep ------------------------------- *)
   (* Large enough that the summed t=1 wall resolves well above timer noise
      on a loaded box (at 32 the ~1ms total is noise-dominated and the
      per-instance engines are within noise of each other). *)
@@ -1643,49 +1635,34 @@ let exec_bench () =
         (name, env, sched, oracle))
       Loopir.Builtin.corpus
   in
-  (* Sum of per-kernel best-of-reps walls, the two engines interleaved
-     within each rep so load/GC drift on the host hits both equally
-     (best-of-sums with the engines run back to back flaps ±15% on a
-     loaded box); store equality against the oracle checked on rep 1. *)
+  (* Sum of per-kernel best-of-reps walls; store equality against the
+     oracle checked on rep 1. *)
   let corpus_reps = max reps 5 in
   (* The earlier sections leave a large major heap behind; compact once so
      stray GC slices don't land inside the timed walls. *)
   Gc.compact ();
-  let compiled_ok = ref 0 and bytecode_ok = ref 0 in
-  let compiled_total = ref 0.0 and bytecode_total = ref 0.0 in
+  let compiled_ok = ref 0 in
+  let compiled_total = ref 0.0 in
   List.iter
     (fun (_, env, sched, oracle) ->
-      let best_c = ref infinity and best_b = ref infinity in
+      let best = ref infinity in
       for rep = 1 to corpus_reps do
         let tc = Runtime.Exec.run_timed ~engine:`Compiled env ~threads:1 sched in
-        let tb = Runtime.Exec.run_timed ~engine:`Bytecode env ~threads:1 sched in
-        if rep = 1 then begin
-          if Runtime.Arrays.equal tc.Runtime.Exec.store oracle then
-            incr compiled_ok;
-          if Runtime.Arrays.equal tb.Runtime.Exec.store oracle then
-            incr bytecode_ok
-        end;
-        if tc.Runtime.Exec.seconds < !best_c then
-          best_c := tc.Runtime.Exec.seconds;
-        if tb.Runtime.Exec.seconds < !best_b then
-          best_b := tb.Runtime.Exec.seconds
+        if rep = 1 && Runtime.Arrays.equal tc.Runtime.Exec.store oracle then
+          incr compiled_ok;
+        best := Float.min !best tc.Runtime.Exec.seconds
       done;
-      compiled_total := !compiled_total +. !best_c;
-      bytecode_total := !bytecode_total +. !best_b)
+      compiled_total := !compiled_total +. !best)
     kernels;
   let compiled_total, compiled_ok = (!compiled_total, !compiled_ok) in
-  let bytecode_total, bytecode_ok = (!bytecode_total, !bytecode_ok) in
   let n_kernels = List.length kernels in
-  Printf.printf
-    "corpus t=1 (%d kernels, params=%d): compiled %.4fs  bytecode %.4fs \
-     (%.2fx)\n"
-    n_kernels corpus_v compiled_total bytecode_total
-    (compiled_total /. bytecode_total);
+  Printf.printf "corpus t=1 (%d kernels, params=%d): compiled %.4fs\n"
+    n_kernels corpus_v compiled_total;
   let corpus_entry =
     let open Pipeline in
     Json.Obj
       [
-        ("program", Json.Str "corpus-t1/bytecode");
+        ("program", Json.Str "corpus-t1/compiled");
         ("params", Json.Obj [ ("value", Json.Int corpus_v) ]);
         ( "runs",
           Json.List
@@ -1694,9 +1671,6 @@ let exec_bench () =
                 [
                   ("threads", Json.Int 1);
                   ("compiled_seconds", Json.Float compiled_total);
-                  ("bytecode_seconds", Json.Float bytecode_total);
-                  ( "speedup_vs_compiled",
-                    Json.Float (compiled_total /. bytecode_total) );
                   ( "metrics",
                     Json.Obj
                       [
@@ -1704,13 +1678,7 @@ let exec_bench () =
                           Json.Obj
                             [
                               ("kernels", Json.Int n_kernels);
-                              ( "semantics_ok",
-                                Json.Int (min compiled_ok bytecode_ok) );
-                              ( "corpus_wall_vs_compiled_pct",
-                                Json.Int
-                                  (int_of_float
-                                     (100.0 *. bytecode_total
-                                    /. compiled_total)) );
+                              ("semantics_ok", Json.Int compiled_ok);
                             ] );
                       ] );
                 ];
@@ -1725,53 +1693,43 @@ let exec_bench () =
     Array.sort compare a;
     a.(Array.length a / 2)
   in
-  let idle_of chunking =
-    let p1 = ref [] and p3 = ref [] and walls = ref [] in
-    for _ = 1 to reps do
-      let options =
-        {
-          Pipeline.Driver.default_options with
-          threads = 4;
-          check = false;
-          chunking;
-        }
-      in
-      match
-        Pipeline.Driver.run ~options ~name:"coupled_stretch"
-          ~params:[ ("n", stretch_n) ] stretch
-      with
-      | Error e ->
-          failwith
-            (Printf.sprintf "E12 coupled_stretch: %s"
-               (Pipeline.Driver.error_to_string e))
-      | Ok o ->
-          let r = o.Pipeline.Driver.report in
-          (match r.Pipeline.Report.balance with
-          | Some b ->
-              let idle lbl =
-                match List.assoc_opt lbl b.Pipeline.Report.per_phase_idle with
-                | Some f -> 100.0 *. f
-                | None -> 0.0
-              in
-              p1 := idle "P1" :: !p1;
-              p3 := idle "P3" :: !p3
-          | None -> ());
-          walls :=
-            Option.value r.Pipeline.Report.par_seconds ~default:nan :: !walls
-    done;
-    (median !p1, median !p3, median !walls)
-  in
-  let s_p1, s_p3, s_wall = idle_of `Static in
-  let c_p1, c_p3, c_wall = idle_of `Cost in
+  let p1 = ref [] and p3 = ref [] and walls = ref [] in
+  for _ = 1 to reps do
+    let options =
+      { Pipeline.Driver.default_options with threads = 4; check = false }
+    in
+    match
+      Pipeline.Driver.run ~options ~name:"coupled_stretch"
+        ~params:[ ("n", stretch_n) ] stretch
+    with
+    | Error e ->
+        failwith
+          (Printf.sprintf "E12 coupled_stretch: %s"
+             (Pipeline.Driver.error_to_string e))
+    | Ok o ->
+        let r = o.Pipeline.Driver.report in
+        (match r.Pipeline.Report.balance with
+        | Some b ->
+            let idle lbl =
+              match List.assoc_opt lbl b.Pipeline.Report.per_phase_idle with
+              | Some f -> 100.0 *. f
+              | None -> 0.0
+            in
+            p1 := idle "P1" :: !p1;
+            p3 := idle "P3" :: !p3
+        | None -> ());
+        walls :=
+          Option.value r.Pipeline.Report.par_seconds ~default:nan :: !walls
+  done;
+  let p1, p3, wall = (median !p1, median !p3, median !walls) in
   Printf.printf
-    "coupled_stretch n=%d t=4 (median of %d): static idle P1 %.1f%% P3 \
-     %.1f%%  |  cost idle P1 %.1f%% P3 %.1f%%\n"
-    stretch_n reps s_p1 s_p3 c_p1 c_p3;
-  let idle_entry name (p1, p3, wall) extra =
+    "coupled_stretch n=%d t=4 (median of %d): cost idle P1 %.1f%% P3 %.1f%%\n"
+    stretch_n reps p1 p3;
+  let idle_entry =
     let open Pipeline in
     Json.Obj
       [
-        ("program", Json.Str ("coupled_stretch/" ^ name));
+        ("program", Json.Str "coupled_stretch/cost");
         ("params", Json.Obj [ ("n", Json.Int stretch_n) ]);
         ( "runs",
           Json.List
@@ -1787,35 +1745,16 @@ let exec_bench () =
                       [
                         ( "counters",
                           Json.Obj
-                            ([
-                               ("p1_idle_pct", Json.Int (int_of_float p1));
-                               ("p3_idle_pct", Json.Int (int_of_float p3));
-                             ]
-                            @ extra) );
+                            [
+                              ("p1_idle_pct", Json.Int (int_of_float p1));
+                              ("p3_idle_pct", Json.Int (int_of_float p3));
+                            ] );
                       ] );
                 ];
             ] );
       ]
   in
-  let idle_entries =
-    [
-      idle_entry "static" (s_p1, s_p3, s_wall) [];
-      idle_entry "cost" (c_p1, c_p3, c_wall)
-        [
-          (* cost-chunking idle as % of static (same medians) — rises when
-             self-scheduling stops reducing barrier idle *)
-          ( "idle_vs_static_pct",
-            Pipeline.Json.Int
-              (int_of_float (100.0 *. (c_p1 +. c_p3) /. (s_p1 +. s_p3))) );
-          (* informational (below the gate's count floor): 1 = the drop
-             held in this regeneration *)
-          ( "idle_drop_ok",
-            Pipeline.Json.Int (if c_p1 +. c_p3 < s_p1 +. s_p3 then 1 else 0)
-          );
-        ];
-    ]
-  in
-  let entries = entries @ (corpus_entry :: idle_entries) in
+  let entries = entries @ [ corpus_entry; idle_entry ] in
   let doc =
     Pipeline.Json.Obj
       [

@@ -186,30 +186,13 @@ let strategy_arg =
 let engine_arg =
   let doc =
     "Schedule execution engine: $(b,compiled) (statements lowered once to \
-     closures over the iteration vector), $(b,bytecode) (statements lowered \
-     to a flat int-coded instruction stream executed by a tight VM loop \
-     over packed work buffers) or $(b,interp) (the reference AST \
-     interpreter)."
+     closures over the iteration vector) or $(b,interp) (the reference AST \
+     interpreter, kept as a cross-check)."
   in
   Arg.(
     value
-    & opt
-        (enum
-           [ ("compiled", `Compiled); ("bytecode", `Bytecode); ("interp", `Interp) ])
-        `Compiled
+    & opt (enum [ ("compiled", `Compiled); ("interp", `Interp) ]) `Compiled
     & info [ "engine" ] ~docv:"NAME" ~doc)
-
-let chunking_arg =
-  let doc =
-    "Within-phase work distribution: $(b,cost) (DOALL blocks sized from the \
-     cost model, chains self-scheduled longest-first through a shared \
-     cursor) or $(b,static) (equal DOALL blocks and longest-first LPT \
-     buckets, fixed before the phase starts)."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("cost", `Cost); ("static", `Static) ]) `Cost
-    & info [ "chunking" ] ~docv:"MODE" ~doc)
 
 let classify ?strategy prog =
   ok_or_die ~stage:Diag.Classify (Pipeline.Driver.classify ?strategy prog)
@@ -377,7 +360,7 @@ let run_cmd =
     let doc = "Emit the run report as JSON instead of text." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let run spec passoc threads strategy engine chunking json trace =
+  let run spec passoc threads strategy engine json trace =
     let prog = load_program spec in
     let params = params_of_assoc prog passoc in
     let sink =
@@ -389,7 +372,6 @@ let run_cmd =
         threads;
         strategy;
         exec_engine = engine;
-        chunking;
         sink;
       }
     in
@@ -422,7 +404,7 @@ let run_cmd =
          "Run the full pipeline: partition, execute on domains, validate \
           against sequential, and report per-stage timings")
     Term.(const run $ prog_arg $ params_arg $ threads_arg $ strategy_arg
-          $ engine_arg $ chunking_arg $ json_arg $ trace_arg)
+          $ engine_arg $ json_arg $ trace_arg)
 
 (* ---- explain ----------------------------------------------------------- *)
 
@@ -669,7 +651,7 @@ let profile_cmd =
     Arg.(value & opt (some string) None
          & info [ "cost-out" ] ~docv:"FILE" ~doc)
   in
-  let run spec passoc threads strategy engine chunking trace html sched_prof
+  let run spec passoc threads strategy engine trace html sched_prof
       sched_json calibrate cost_out cost_file =
     let prog = load_program spec in
     let params = params_of_assoc prog passoc in
@@ -680,7 +662,6 @@ let profile_cmd =
         threads;
         strategy;
         exec_engine = engine;
-        chunking;
         sim_cost = load_cost cost_file;
         sink;
       }
@@ -763,7 +744,7 @@ let profile_cmd =
           run, and $(b,--trace)/$(b,--html) write Chrome-trace/HTML \
           artifacts")
     Term.(const run $ prog_arg $ params_arg $ threads_arg $ strategy_arg
-          $ engine_arg $ chunking_arg $ trace_arg $ html_arg $ sched_arg
+          $ engine_arg $ trace_arg $ html_arg $ sched_arg
           $ sched_json_arg $ calibrate_arg $ cost_out_arg $ cost_file_arg)
 
 (* ---- batch / serve ----------------------------------------------------- *)

@@ -13,12 +13,6 @@ val length : t -> int
 val get : t -> int -> Linalg.Ivec.t
 (** [get t i] is a fresh copy of the [i]-th point (callers may mutate it). *)
 
-val blit_to : t -> int -> int array -> int -> unit
-(** [blit_to t i dst pos] copies the [i]-th point into [dst] at [pos]
-    without allocating — the packing primitive of the bytecode engine's
-    flat work buffers.  Raises [Invalid_argument] when the point index or
-    the destination range is out of bounds. *)
-
 val iter : (Linalg.Ivec.t -> unit) -> t -> unit
 (** Iterates in storage order; each callback receives a fresh copy. *)
 

@@ -169,7 +169,6 @@ type options = {
   strategy : Plan.strategy option;
   engine : [ `Enum | `Scan ];
   exec_engine : Runtime.Exec.engine;
-  chunking : [ `Static | `Cost ];
   workers : Runtime.Workers.t option;
   sim_cost : Runtime.Sim.cost option;
   sink : Obs.Sink.t;
@@ -184,7 +183,6 @@ let default_options =
     strategy = None;
     engine = `Scan;
     exec_engine = `Compiled;
-    chunking = `Cost;
     workers = None;
     sim_cost = None;
     sink = Obs.Sink.null;
@@ -198,14 +196,22 @@ type outcome = {
   report : Report.t;
 }
 
-(* The executor's [`Cost] chunking wants concrete cost constants; reuse
-   the prediction's calibrated ones when the caller supplied them so the
-   chunk sizes and the prediction come from the same model. *)
-let exec_chunking options : Runtime.Exec.chunking =
-  match options.chunking with
-  | `Static -> `Static
-  | `Cost ->
-      `Cost (Option.value options.sim_cost ~default:Runtime.Sim.base_seconds)
+(* The executor pool of one run: the caller's, none when sequential, or a
+   transient one.  Spawning fails at the runtime's domain limit;
+   [Workers.create] then leaves no helper behind, and the run ends in a
+   typed error instead of an exception. *)
+let with_pool options f =
+  match options.workers with
+  | Some _ as workers -> f workers
+  | None when options.threads <= 1 -> f None
+  | None -> (
+      match Runtime.Workers.create ~domains:options.threads with
+      | exception Failure _ ->
+          Diag.fail (Diag.Invalid_thread_count options.threads)
+      | pool ->
+          Fun.protect
+            ~finally:(fun () -> Runtime.Workers.shutdown pool)
+            (fun () -> f (Some pool)))
 
 (* The engine option only affects REC materialization; route it through
    [Core.Partition.materialize] by re-dispatching here. *)
@@ -345,11 +351,10 @@ let run ?(options = default_options) ~name ~params prog =
                      in
                      let seq_s = Obs.Clock.elapsed_s t0 in
                      let tmd =
-                       Runtime.Exec.run_timed ~sink
-                         ~engine:options.exec_engine
-                         ~chunking:(exec_chunking options)
-                         ?workers:options.workers env ~threads:options.threads
-                         s
+                       with_pool options (fun workers ->
+                           Runtime.Exec.run_timed ~sink
+                             ~engine:options.exec_engine ?cost:options.sim_cost
+                             ?workers env ~threads:options.threads s)
                      in
                      let semantics =
                        if not options.check then Report.Skipped
@@ -472,10 +477,6 @@ let run ?(options = default_options) ~name ~params prog =
         exec_engine =
           Option.map
             (fun _ -> Runtime.Exec.engine_name options.exec_engine)
-            par_seconds;
-        chunking =
-          Option.map
-            (fun _ -> Runtime.Exec.chunking_name (exec_chunking options))
             par_seconds;
         seq_seconds;
         par_seconds;

@@ -74,13 +74,11 @@ type options = {
   engine : [ `Enum | `Scan ];  (** REC materialization engine *)
   exec_engine : Runtime.Exec.engine;
       (** schedule execution engine: [`Compiled] (default) runs closure-
-          compiled kernels, [`Bytecode] the flat-bytecode VM, [`Interp]
-          the AST-walking interpreter *)
-  chunking : [ `Static | `Cost ];
-      (** work distribution within a phase: [`Cost] (default) sizes DOALL
-          chunks from the cost model ([sim_cost] when given, otherwise
+          compiled kernels, [`Interp] the AST-walking interpreter (the
+          cross-check engine).  Either way the executor sizes DOALL chunks
+          from the cost model ([sim_cost] when given, otherwise
           {!Runtime.Sim.base_seconds}) and self-schedules chains
-          longest-first; [`Static] pre-deals equal blocks / LPT buckets *)
+          longest-first *)
   workers : Runtime.Workers.t option;
       (** persistent executor pool to reuse across runs; [None] (the
           default) lets each run create and shut down a transient pool *)

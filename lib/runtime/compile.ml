@@ -296,30 +296,5 @@ let compile_stmt env store (info : Prog.stmt_info) =
 let program (env : Interp.env) store =
   { kernels = Array.map (compile_stmt env store) env.Interp.stmts }
 
-(* ---- lowering seam --------------------------------------------------- *)
-
-(* The bytecode engine lowers the same statements against the same store;
-   exporting the slot/param/fused-offset resolution here keeps the two
-   engines' address arithmetic identical by construction. *)
-
-type lowctx = ctx
-
-let lowering (env : Interp.env) store (info : Prog.stmt_info) =
-  {
-    vars = Array.of_list (Prog.loop_vars info);
-    params = env.Interp.params;
-    store;
-  }
-
-let low_depth ctx = Array.length ctx.vars
-let low_slot = slot
-let low_param ctx name = Option.map float_of_int (param ctx name)
-
-let low_ref ctx name subs =
-  match fused_of ctx name subs with
-  | Some (view, (c, nz)) -> Some (view.Arrays.v_data, c, nz)
-  | None -> None
-
-let kernel t stmt = t.kernels.(stmt)
 let exec_instance t (inst : Sched.instance) =
   t.kernels.(inst.Sched.stmt) inst.Sched.iter

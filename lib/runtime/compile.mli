@@ -1,4 +1,5 @@
-(** Closure-compiled statement kernels — the compiled execution engine.
+(** Closure-compiled statement kernels — the executor's one compiled
+    engine ({!Exec}'s [`Compiled], its default).
 
     Each statement's LHS/RHS is translated once into an OCaml closure over
     the [int array] iteration vector: loop variables become vector slots,
@@ -18,8 +19,9 @@
     {!Arrays.initial_value}.  Non-affine subscripts keep the exact
     interpreter semantics (they go through {!Arrays.get}/{!Arrays.set}).
 
-    {!Interp} remains the reference oracle: [Exec.check] compares a
-    compiled run against [Interp.run_sequential] bit-for-bit. *)
+    {!Interp} remains the reference oracle and the cross-check engine:
+    [Exec.check] compares a compiled run against [Interp.run_sequential]
+    bit-for-bit. *)
 
 type t
 
@@ -33,37 +35,3 @@ val exec_instance : t -> Sched.instance -> unit
 (** Runs one statement instance through its compiled kernel.  Raises
     [Failure] on an iteration arity mismatch, like
     {!Interp.exec_instance}. *)
-
-val kernel : t -> int -> int array -> unit
-(** [kernel t stmt] is the compiled kernel of statement [stmt] (exposed
-    for benchmarks and tests). *)
-
-(** {2 Lowering seam}
-
-    The pieces of the closure compiler the bytecode engine ({!Bytecode})
-    shares, so both engines compute identical fused addresses: loop-slot
-    and parameter resolution, and the affine reference fusion against the
-    live store. *)
-
-type lowctx
-
-val lowering : Interp.env -> Arrays.t -> Loopir.Prog.stmt_info -> lowctx
-(** Lowering context of one statement: its loop-variable slot mapping
-    (outermost first) and the bound parameters, against a frozen store. *)
-
-val low_depth : lowctx -> int
-(** Loop depth (= expected iteration-vector arity). *)
-
-val low_slot : lowctx -> string -> int option
-(** Iteration-vector slot of a loop variable. *)
-
-val low_param : lowctx -> string -> float option
-(** Bound parameter value, as the float the RHS evaluator would use. *)
-
-val low_ref : lowctx -> string -> Loopir.Ast.expr list -> (float array * int * (int * int) list) option
-(** Fused affine reference: [(data, c, [(j, m); …])] such that the cell
-    is [data.(c + Σ m·iter.(j))] — exactly the offset the closure engine
-    fuses.  [None] when a subscript is non-affine, the array was never
-    scanned, or the rank mismatches (callers must fall back to the
-    general {!Arrays.get}/{!Arrays.set} path to keep interpreter
-    semantics). *)

@@ -1,26 +1,6 @@
-(* Legacy block distribution, kept for tests: the execution path now
-   addresses work as (unit, offset, length) chunks and never re-slices
-   instance arrays. *)
-let doall_buckets threads instances =
-  let threads = max 1 threads in
-  let n = Array.length instances in
-  let size = (n + threads - 1) / threads in
-  List.init threads (fun t ->
-      let lo = t * size in
-      let hi = min n (lo + size) in
-      if lo >= hi then [||] else Array.sub instances lo (hi - lo))
-  |> List.filter (fun b -> Array.length b > 0)
+type engine = [ `Compiled | `Interp ]
 
-type engine = [ `Bytecode | `Compiled | `Interp ]
-
-let engine_name = function
-  | `Bytecode -> "bytecode"
-  | `Compiled -> "compiled"
-  | `Interp -> "interp"
-
-type chunking = [ `Static | `Cost of Sim.cost ]
-
-let chunking_name = function `Static -> "static" | `Cost _ -> "cost"
+let engine_name = function `Compiled -> "compiled" | `Interp -> "interp"
 
 type phase_stat = {
   label : string;
@@ -37,54 +17,26 @@ type timed = { store : Arrays.t; seconds : float; phase_stats : phase_stat list 
 let task_len_hist = Obs.Histogram.make "exec.task_len"
 let task_ns_hist = Obs.Histogram.make "exec.task_ns"
 
-(* ---- engine-agnostic phase runners ----------------------------------- *)
+(* ---- chunk building --------------------------------------------------- *)
 
 (* A chunk addresses a contiguous instance range of one work unit — a
    DOALL block ([c_unit] 0, [c_id] the block ordinal) or a whole
    sequential task ([c_unit] = [c_id] = the task index; for REC plans the
    recurrence-chain id, which the per-task spans carry so barrier
    stragglers stay attributable to a chain).  Chunks are descriptors over
-   the phase's flat buffers: building them copies no instance data. *)
+   the phase's instance arrays: building them copies no instance data. *)
 type chunk = { c_unit : int; c_id : int; c_off : int; c_len : int }
 
-(* A phase prepared for execution.  [p_runner ()] yields this domain's
-   range runner (the bytecode engine allocates a per-domain scratch stack
-   here; closure engines return a shared closure). *)
-type prepared = {
-  p_kind : string;  (* "block" | "chain" — the span unit-id arg *)
-  p_units : int array;  (* per-unit instance counts *)
-  p_runner : unit -> int -> int -> int -> unit;  (* unit off len *)
-}
+(* The phase's work units: one for a DOALL, one per task otherwise. *)
+let units_of_phase = function
+  | Sched.Doall { instances; _ } -> [| instances |]
+  | Sched.Tasks { tasks; _ } -> tasks
+
+let unit_sizes phase = Array.map Array.length (units_of_phase phase)
 
 let kind_of_phase = function
   | Sched.Doall _ -> "block"
   | Sched.Tasks _ -> "chain"
-
-let prepared_of_exec (exec : Sched.instance -> unit) phase =
-  match phase with
-  | Sched.Doall { instances; _ } ->
-      {
-        p_kind = "block";
-        p_units = [| Array.length instances |];
-        p_runner =
-          (fun () _u off len ->
-            for i = off to off + len - 1 do
-              exec instances.(i)
-            done);
-      }
-  | Sched.Tasks { tasks; _ } ->
-      {
-        p_kind = "chain";
-        p_units = Array.map Array.length tasks;
-        p_runner =
-          (fun () u off len ->
-            let t = tasks.(u) in
-            for i = off to off + len - 1 do
-              exec t.(i)
-            done);
-      }
-
-(* ---- chunk building --------------------------------------------------- *)
 
 (* [k] near-equal contiguous ranges over [n] DOALL instances (never an
    empty range: [k] is clamped to [n]). *)
@@ -97,80 +49,33 @@ let doall_chunk_ranges ~chunks n =
         let lo = t * n / k and hi = (t + 1) * n / k in
         { c_unit = 0; c_id = t; c_off = lo; c_len = hi - lo })
 
-(* Longest-first LPT deal of whole-task chunks into [threads] buckets —
-   the static schedule.  Buckets keep their chunks in longest-first
-   order. *)
-let lpt_deal threads chunks =
-  let threads = max 1 threads in
-  let order = Array.of_list chunks in
-  Array.sort
-    (fun a b ->
-      let c = compare b.c_len a.c_len in
-      if c <> 0 then c else compare a.c_id b.c_id)
-    order;
-  let buckets = Array.make threads [] in
-  let loads = Array.make threads 0 in
-  Array.iter
-    (fun c ->
-      let best = ref 0 in
-      for k = 1 to threads - 1 do
-        if loads.(k) < loads.(!best) then best := k
-      done;
-      buckets.(!best) <- c :: buckets.(!best);
-      loads.(!best) <- loads.(!best) + c.c_len)
-    order;
-  Array.to_list (Array.map List.rev buckets)
-
-(* How a phase's chunks are driven:
-   - sequential runs execute them in order on the calling domain;
-   - [`Static] pre-deals them into one bucket per domain (equal DOALL
-     blocks, LPT for tasks) — the legacy schedule;
-   - [`Cost] builds a single ordered queue (cost-proportional DOALL
-     blocks sized by {!Sim.doall_chunk_count}; whole chains sorted
-     longest-first) drained by all domains through one atomic cursor, so
-     late-waking or straggling domains simply take fewer chunks. *)
-type disposition =
-  | Seq of chunk list
-  | Buckets of chunk list list
-  | Queue of chunk array
-
-let dispose ~chunking ~threads phase prepared =
+(* The phase's chunks, in the order domains take them: DOALL blocks sized
+   cost-proportionally by {!Sim.doall_chunk_count} (one block when
+   sequential), or the non-empty tasks — sorted longest-first when
+   several domains drain them through one atomic cursor, so late-waking
+   or straggling domains simply take fewer chunks.  A list, not an array:
+   a sequential run walks it once, and an array of thousands of fresh
+   chunks would be allocated in the major heap and pay the write barrier
+   per element. *)
+let chunks_of_phase ~cost ~threads phase sizes =
   match phase with
   | Sched.Doall _ ->
-      let n = Array.fold_left ( + ) 0 prepared.p_units in
-      if threads <= 1 then Seq (doall_chunk_ranges ~chunks:1 n)
-      else (
-        match chunking with
-        | `Static ->
-            Buckets
-              (List.map (fun c -> [ c ]) (doall_chunk_ranges ~chunks:threads n))
-        | `Cost cost ->
-            let k = Sim.doall_chunk_count cost ~threads ~n in
-            Queue (Array.of_list (doall_chunk_ranges ~chunks:k n)))
+      let n = sizes.(0) in
+      doall_chunk_ranges ~chunks:(Sim.doall_chunk_count cost ~threads ~n) n
   | Sched.Tasks _ ->
-      let chunks =
-        List.filter
-          (fun c -> c.c_len > 0)
-          (List.init (Array.length prepared.p_units) (fun u ->
-               { c_unit = u; c_id = u; c_off = 0; c_len = prepared.p_units.(u) }))
-      in
-      if threads <= 1 then Seq chunks
-      else (
-        match chunking with
-        | `Static -> Buckets (lpt_deal threads chunks)
-        | `Cost _ ->
-            let arr = Array.of_list chunks in
-            Array.sort
-              (fun a b ->
-                let c = compare b.c_len a.c_len in
-                if c <> 0 then c else compare a.c_id b.c_id)
-              arr;
-            Queue arr)
-
-let disposition_units = function
-  | Seq chunks -> List.length chunks
-  | Buckets buckets -> List.fold_left (fun acc b -> acc + List.length b) 0 buckets
-  | Queue chunks -> Array.length chunks
+      let chunks = ref [] in
+      for u = Array.length sizes - 1 downto 0 do
+        if sizes.(u) > 0 then
+          chunks :=
+            { c_unit = u; c_id = u; c_off = 0; c_len = sizes.(u) } :: !chunks
+      done;
+      if threads <= 1 then !chunks
+      else
+        List.sort
+          (fun a b ->
+            let c = compare b.c_len a.c_len in
+            if c <> 0 then c else compare a.c_id b.c_id)
+          !chunks
 
 (* ---- instrumented chunk execution ------------------------------------ *)
 
@@ -215,82 +120,65 @@ let run_chunks ~sink ~label ~kind runner iter_chunks =
   in
   (busy, words, !load)
 
-(* The single execution path: every phase — sequential or parallel, any
-   engine, either chunking mode — goes through here, so instrumentation
-   (per-phase wall time and per-domain load/busy time) is measured on
-   exactly the code that runs.  Parallel work is handed to the persistent
-   [pool]; the return from {!Workers.run} is the inter-phase barrier. *)
-let run_phase_timed ?(sink = Obs.Sink.null) ~pool ~chunking prepared ~threads
-    phase =
+(* The single execution path: every phase — sequential or parallel,
+   either engine — goes through here, so instrumentation (per-phase wall
+   time and per-domain load/busy time) is measured on exactly the code
+   that runs.  Parallel work is handed to the persistent [pool]; the
+   return from {!Workers.run} is the inter-phase barrier. *)
+let run_phase_timed ?(sink = Obs.Sink.null) ~pool ~cost exec ~threads
+    (phase, sizes) =
   let threads = max 1 threads in
   let label = Sched.phase_label phase in
-  let kind = prepared.p_kind in
+  let kind = kind_of_phase phase in
   let n_instances = Sched.phase_size phase in
   let t0 = Obs.Clock.now_ns () in
-  let disposition = dispose ~chunking ~threads phase prepared in
-  let n_units = disposition_units disposition in
-  let require_pool () =
-    match pool with
-    | Some p -> p
-    | None -> invalid_arg "Exec: parallel phase without a pool"
+  let units = units_of_phase phase in
+  let chunks = chunks_of_phase ~cost ~threads phase sizes in
+  let runner u off len =
+    let t = units.(u) in
+    for i = off to off + len - 1 do
+      exec t.(i)
+    done
   in
+  let n_chunks = List.length chunks in
   let loads, busy, alloc =
-    match disposition with
-    | Seq chunks ->
-        let runner = prepared.p_runner () in
-        let b, w, _ =
-          run_chunks ~sink ~label ~kind runner (fun f -> List.iter f chunks)
-        in
-        ([| n_instances |], [| b |], [| w |])
-    | Buckets buckets -> (
-        (* Hand only buckets that hold work to the pool: empty buckets
-           would pay the queue round-trip for nothing. *)
-        match List.filter (fun b -> b <> []) buckets with
-        | [] -> ([||], [||], [||])
-        | buckets ->
-            let pool = require_pool () in
-            let stats =
-              Workers.run pool
-                (Array.of_list
-                   (List.map
-                      (fun b () ->
-                        let runner = prepared.p_runner () in
-                        run_chunks ~sink ~label ~kind runner (fun f ->
-                            List.iter f b))
-                      buckets))
-            in
-            ( Array.map (fun (_, _, l) -> l) stats,
-              Array.map (fun (b, _, _) -> b) stats,
-              Array.map (fun (_, w, _) -> w) stats ))
-    | Queue chunks ->
-        if Array.length chunks = 0 then ([||], [||], [||])
-        else begin
-          let pool = require_pool () in
-          let next = Atomic.make 0 in
-          let n_chunks = Array.length chunks in
-          let stats =
-            Workers.run pool
-              (Array.init (min threads n_chunks) (fun _ () ->
-                   let runner = prepared.p_runner () in
-                   run_chunks ~sink ~label ~kind runner (fun f ->
-                       let rec drain () =
-                         let k = Atomic.fetch_and_add next 1 in
-                         if k < n_chunks then begin
-                           f chunks.(k);
-                           drain ()
-                         end
-                       in
-                       drain ())))
-          in
-          ( Array.map (fun (_, _, l) -> l) stats,
-            Array.map (fun (b, _, _) -> b) stats,
-            Array.map (fun (_, w, _) -> w) stats )
-        end
+    if threads <= 1 then begin
+      let b, w, _ =
+        run_chunks ~sink ~label ~kind runner (fun f -> List.iter f chunks)
+      in
+      ([| n_instances |], [| b |], [| w |])
+    end
+    else if n_chunks = 0 then ([||], [||], [||])
+    else begin
+      let chunks = Array.of_list chunks in
+      let pool =
+        match pool with
+        | Some p -> p
+        | None -> invalid_arg "Exec: parallel phase without a pool"
+      in
+      let next = Atomic.make 0 in
+      let stats =
+        Workers.run pool
+          (Array.init (min threads n_chunks) (fun _ () ->
+               run_chunks ~sink ~label ~kind runner (fun f ->
+                   let rec drain () =
+                     let k = Atomic.fetch_and_add next 1 in
+                     if k < n_chunks then begin
+                       f chunks.(k);
+                       drain ()
+                     end
+                   in
+                   drain ())))
+      in
+      ( Array.map (fun (_, _, l) -> l) stats,
+        Array.map (fun (b, _, _) -> b) stats,
+        Array.map (fun (_, w, _) -> w) stats )
+    end
   in
   {
     label;
     n_instances;
-    n_units;
+    n_units = n_chunks;
     loads;
     busy;
     alloc;
@@ -298,44 +186,27 @@ let run_phase_timed ?(sink = Obs.Sink.null) ~pool ~chunking prepared ~threads
   }
 
 let run_timed ?(sink = Obs.Sink.null) ?(engine = `Compiled)
-    ?(chunking = `Cost Sim.base_seconds) ?workers env ~threads s =
+    ?(cost = Sim.base_seconds) ?workers env ~threads s =
   let threads = max 1 threads in
   let store =
     let memo = if Interp.memoized env then "hit" else "miss" in
     Obs.Span.with_ ~sink ~name:"store" ~args:[ ("memo", memo) ] (fun () ->
         Interp.scan_bounds env)
   in
-  (* Engine setup — kernel compilation and, for the bytecode engine,
-     per-phase work packing — happens outside the timed region, like
-     store setup: [seconds] measures execution of the hot loop. *)
-  let prepare : Sched.phase -> prepared =
+  (* Kernel compilation and reading the per-unit sizes happen outside the
+     timed region, like store setup: [seconds] measures execution of the
+     hot loop. *)
+  let exec =
     match engine with
-    | `Interp ->
-        let exec = Interp.exec_instance env store in
-        prepared_of_exec exec
+    | `Interp -> Interp.exec_instance env store
     | `Compiled ->
-        let compiled =
-          Obs.Span.with_ ~sink ~name:"compile" (fun () ->
-              Compile.program env store)
-        in
-        prepared_of_exec (Compile.exec_instance compiled)
-    | `Bytecode ->
-        let bp =
-          Obs.Span.with_ ~sink ~name:"compile" (fun () ->
-              Bytecode.compile env store)
-        in
-        fun phase ->
-          let w = Bytecode.pack bp phase in
-          {
-            p_kind = kind_of_phase phase;
-            p_units = Bytecode.unit_sizes w;
-            p_runner =
-              (fun () ->
-                let sc = Bytecode.scratch bp in
-                fun u off len -> Bytecode.exec_range bp sc w ~unit_:u ~off ~len);
-          }
+        Compile.exec_instance
+          (Obs.Span.with_ ~sink ~name:"compile" (fun () ->
+               Compile.program env store))
   in
-  let prepped = List.map (fun phase -> (phase, prepare phase)) s.Sched.phases in
+  let sized =
+    List.map (fun phase -> (phase, unit_sizes phase)) s.Sched.phases
+  in
   let pool, owned =
     if threads = 1 then (None, false)
     else
@@ -349,23 +220,19 @@ let run_timed ?(sink = Obs.Sink.null) ?(engine = `Compiled)
       let t0 = Obs.Clock.now_ns () in
       let phase_stats =
         List.map
-          (fun (phase, prepared) ->
+          (fun ((phase, _) as p) ->
             Obs.Span.with_ ~sink ~name:("phase:" ^ Sched.phase_label phase)
-              (fun () ->
-                run_phase_timed ~sink ~pool ~chunking prepared ~threads phase))
-          prepped
+              (fun () -> run_phase_timed ~sink ~pool ~cost exec ~threads p))
+          sized
       in
       { store; seconds = Obs.Clock.elapsed_s t0; phase_stats })
 
-let run ?engine ?chunking env ~threads s =
-  (run_timed ?engine ?chunking env ~threads s).store
+let run ?engine ?cost env ~threads s =
+  (run_timed ?engine ?cost env ~threads s).store
 
-let wall_time ?engine ?chunking env ~threads s =
-  (run_timed ?engine ?chunking env ~threads s).seconds
-
-let check ?engine ?chunking env ~threads s =
+let check ?engine ?cost env ~threads s =
   let seq = Interp.run_sequential env in
-  let got = run ?engine ?chunking env ~threads s in
+  let got = run ?engine ?cost env ~threads s in
   if Arrays.equal seq got then Ok ()
   else
     Error

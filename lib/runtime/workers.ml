@@ -47,6 +47,17 @@ let rec helper t =
     helper t
   end
 
+let shutdown t =
+  Mutex.lock t.m;
+  let first = not t.closing in
+  t.closing <- true;
+  Condition.broadcast t.not_empty;
+  Mutex.unlock t.m;
+  if first then begin
+    List.iter Domain.join t.helpers;
+    t.helpers <- []
+  end
+
 let create ~domains =
   if domains < 1 then invalid_arg "Workers.create: domains must be >= 1";
   let t =
@@ -60,10 +71,20 @@ let create ~domains =
       helpers = [];
     }
   in
-  t.helpers <-
-    List.init (domains - 1) (fun _ ->
-        Obs.Counter.incr spawned_counter;
-        Domain.spawn (fun () -> helper t));
+  (* A failed spawn (the runtime's domain limit, or memory) must not strand
+     the helpers already spawned on [not_empty]: they would count against
+     the limit for the rest of the process.  Close and join them, then
+     re-raise. *)
+  (try
+     for _ = 2 to domains do
+       let d = Domain.spawn (fun () -> helper t) in
+       Obs.Counter.incr spawned_counter;
+       t.helpers <- d :: t.helpers
+     done
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     shutdown t;
+     Printexc.raise_with_backtrace e bt);
   t
 
 let run t thunks =
@@ -158,14 +179,3 @@ let install_dnf_runner t =
   Presburger.Dnf.set_runner (Some (fun jobs -> ignore (run t jobs)))
 
 let uninstall_dnf_runner () = Presburger.Dnf.set_runner None
-
-let shutdown t =
-  Mutex.lock t.m;
-  let first = not t.closing in
-  t.closing <- true;
-  Condition.broadcast t.not_empty;
-  Mutex.unlock t.m;
-  if first then begin
-    List.iter Domain.join t.helpers;
-    t.helpers <- []
-  end

@@ -34,7 +34,10 @@ val create : domains:int -> t
 (** Spawns [domains - 1] helper domains ([domains ≥ 1]; the calling domain
     is the remaining worker).  Each spawn increments the global
     ["runtime.workers.spawned"] counter — the service smoke test asserts
-    this stays equal to the pool size, not the request count. *)
+    this stays equal to the pool size, not the request count.  If a spawn
+    fails (e.g. [Failure] at the runtime's domain limit), the helpers
+    already spawned are shut down and joined before the exception is
+    re-raised, so a failed [create] leaves no domain behind. *)
 
 val domains : t -> int
 (** The configured size (helpers + the participating caller). *)

@@ -32,10 +32,11 @@ type config = {
   measure : bool;
   deadline_s : float option;  (** default per-request deadline *)
   exec_engine : Runtime.Exec.engine;
-      (** schedule execution engine for [Run] requests — [`Compiled],
-          [`Bytecode] or [`Interp].  Part of the cache key (the [exec=]
-          facet), so results produced by different engines never alias
-          even though they are bit-identical by construction. *)
+      (** schedule execution engine for [Run] requests — [`Compiled]
+          (default) or the cross-check [`Interp].  Part of the cache key
+          (the [exec=] facet), so results produced by different engines
+          never alias even though they are bit-identical by
+          construction. *)
   sink : Obs.Sink.t;  (** spans: submit→dequeue→analyze→respond *)
   events : Obs.Event.t;  (** decision + service lifecycle events *)
   slow_ms : float option;

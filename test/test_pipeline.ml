@@ -165,6 +165,36 @@ let test_invalid_thread_count () =
   | Error e -> Alcotest.fail ("unexpected: " ^ Driver.error_to_string e)
   | Ok _ -> Alcotest.fail "threads=0 accepted"
 
+let test_unspawnable_thread_count () =
+  (* More domains than the runtime can spawn: the run ends in a typed
+     error, and the domains spawned before the failure are joined, so
+     later runs and pools in the same process still work. *)
+  let run threads =
+    let options = { Driver.default_options with threads } in
+    Driver.run ~options ~name:"example2" ~params:[ ("n", 20) ]
+      Loopir.Builtin.example2
+  in
+  (match run 200 with
+  | Error
+      { Driver.stage = Diag.Execute; error = Diag.Invalid_thread_count 200; _ }
+    ->
+      ()
+  | Error e -> Alcotest.fail ("unexpected: " ^ Driver.error_to_string e)
+  | Ok _ -> Alcotest.fail "t=200 ran");
+  (match run 2 with
+  | Ok { Driver.report; _ } ->
+      Alcotest.(check string)
+        "later t=2 run" "ok"
+        (Report.check_result_string report.Report.semantics)
+  | Error e -> Alcotest.fail ("later t=2 run: " ^ Driver.error_to_string e));
+  let pool = Runtime.Workers.create ~domains:4 in
+  Fun.protect
+    ~finally:(fun () -> Runtime.Workers.shutdown pool)
+    (fun () ->
+      Alcotest.(check (array int))
+        "later 4-domain pool" [| 0; 1; 2; 3 |]
+        (Runtime.Workers.run pool (Array.init 4 (fun i () -> i))))
+
 let test_trace_unbound_parameter_result () =
   match Depend.Trace.build_result Loopir.Builtin.example2 ~params:[] with
   | Error (Diag.Unbound_parameter "n") -> ()
@@ -796,6 +826,8 @@ let () =
           Alcotest.test_case "unbound parameter" `Quick test_unbound_parameter;
           Alcotest.test_case "invalid thread count" `Quick
             test_invalid_thread_count;
+          Alcotest.test_case "unspawnable thread count" `Quick
+            test_unspawnable_thread_count;
           Alcotest.test_case "trace build_result" `Quick
             test_trace_unbound_parameter_result;
           Alcotest.test_case "materialize arity" `Quick
