@@ -704,7 +704,7 @@ let analyze_entry () =
         let m1 = Presburger.Hc.totals () in
         let warm_s, warm_m = pass () in
         let m2 = Presburger.Hc.totals () in
-        Runtime.Workers.uninstall_dnf_runner ();
+        Runtime.Workers.uninstall_dnf_runner pool;
         Runtime.Workers.shutdown pool;
         let open Presburger.Hc in
         let cold_hits = m1.hits - m0.hits
@@ -760,8 +760,8 @@ let builtin_corpus sc =
   ]
 
 (* E14 — predicted-vs-actual cost-model accounting: run the corpus at
-   t = 1 with the uncalibrated default cost, fit the constants from those
-   measured phases ({!Runtime.Sim.calibrate}), re-run with the calibrated
+   t = 1 with the uncalibrated default cost, fit the constants from the
+   fastest of three such runs per program ({!Runtime.Sim.calibrate}), re-run with the calibrated
    cost, and record the mean total relative error before and after.  Only
    the post-calibration error is gated (as an integer percentage): the
    default-cost error says nothing about regressions, but the calibrated
@@ -812,41 +812,43 @@ let prediction_entry () =
         List.fold_left (fun a (_, e, _) -> a +. e) 0.0 l
         /. float_of_int (List.length l)
   in
-  let pre = List.filter_map (fun p -> run_one p) programs in
+  (* Best-of-3 per program, ranked by [key]: the phases are
+     microseconds-short at bench sizes, so a single unlucky scheduling
+     hiccup would otherwise move the fitted constants or the gated error
+     counter. *)
+  let best_of_3 ?cost key =
+    let passes =
+      List.init 3 (fun _ -> List.filter_map (fun p -> run_one ?cost p) programs)
+    in
+    List.filter_map
+      (fun (name, _, _) ->
+        List.fold_left
+          (fun acc pass ->
+            match List.find_opt (fun (n, _, _) -> n = name) pass with
+            | Some r -> (
+                match acc with
+                | Some b when key b <= key r -> acc
+                | _ -> Some r)
+            | None -> acc)
+          None passes)
+      (List.hd passes)
+  in
+  (* Calibrate from each program's fastest uncalibrated run: a slow
+     sample would inflate the fitted per-iteration cost. *)
+  let pre =
+    best_of_3 (fun (_, _, o) ->
+        List.fold_left
+          (fun a (p : Pipeline.Report.phase_profile) ->
+            a +. p.Pipeline.Report.seconds)
+          0.0 o.Pipeline.Driver.report.Pipeline.Report.phases)
+  in
   let samples = List.concat_map (fun (_, _, o) -> samples_of o) pre in
   let post =
     match Runtime.Sim.calibrate samples with
     | None ->
         Printf.printf "  calibration failed: no measured work in corpus\n";
         []
-    | Some cost ->
-        (* Best-of-3 per program: the phases are microseconds-short at
-           bench sizes, so a single unlucky scheduling hiccup would move
-           the gated error counter. *)
-        let passes =
-          List.init 3 (fun _ ->
-              List.filter_map (fun p -> run_one ~cost p) programs)
-        in
-        List.filter_map
-          (fun (name, _, _) ->
-            let best =
-              List.fold_left
-                (fun acc pass ->
-                  match
-                    List.find_map
-                      (fun (n, e, o) ->
-                        if n = name then Some (e, o) else None)
-                      pass
-                  with
-                  | Some (e, o) -> (
-                      match acc with
-                      | Some (e0, _) when e0 <= e -> acc
-                      | _ -> Some (e, o))
-                  | None -> acc)
-                None passes
-            in
-            Option.map (fun (e, o) -> (name, e, o)) best)
-          (List.hd passes)
+    | Some cost -> best_of_3 ~cost (fun (_, e, _) -> e)
   in
   Printf.printf "  %-10s %12s %12s\n" "program" "pre" "post";
   List.iter
@@ -1406,7 +1408,7 @@ let service_bench () =
           List.length
             (List.filter (fun r -> not (Svc.Proto.ok r)) (cold @ warm))
         in
-        let warm_hits = stop.Svc.Cache.hits - mid.Svc.Cache.hits in
+        let warm_hits = stop.Numeric.Lru.hits - mid.Numeric.Lru.hits in
         Printf.printf
           "   %d     %7.3f  %10.0f   %7.3f  %10.0f   %5.1fx   %d/%d%s\n"
           domains cold_s

@@ -815,7 +815,7 @@ let response_of_line svc ~lineno line =
       Svc.Proto.error_response ~id (Svc.Proto.Bad_request message)
   | Ok req -> Svc.Service.run_one svc req
 
-let batch_summary responses stats exec_pool =
+let batch_summary responses stats pool =
   let n = List.length responses in
   let errors = List.length (List.filter (fun r -> not (Svc.Proto.ok r)) responses) in
   let hits =
@@ -826,13 +826,12 @@ let batch_summary responses stats exec_pool =
      cache size %d/%d\n"
     n (n - errors) errors hits
     (if n = 0 then 0.0 else 100.0 *. float_of_int hits /. float_of_int n)
-    stats.Svc.Cache.size stats.Svc.Cache.capacity;
-  (* The executor pool is created once per service: its spawn count scales
-     with the pool size, never with the request count (CI smoke greps this
-     line). *)
-  Printf.eprintf "exec-pool: domains=%d spawned=%d requests=%d\n"
-    (Runtime.Workers.domains exec_pool)
-    (Runtime.Workers.spawned exec_pool)
+    stats.Numeric.Lru.size stats.Numeric.Lru.capacity;
+  (* The service's one pool is spawned once: its spawn count equals its
+     domains, never the request count (CI smoke greps this line). *)
+  Printf.eprintf "pool: domains=%d spawned=%d requests=%d\n"
+    (Runtime.Workers.domains pool)
+    (Runtime.Workers.spawned pool)
     n;
   (* Request-level cache hits above; this line is the set-algebra layer
      below it (CI asserts the hit count is non-zero on the batch corpus). *)
@@ -922,7 +921,7 @@ let batch_cmd =
     if out <> None then close_out oc;
     write_trace sink trace;
     batch_summary ordered (Svc.Service.cache_stats svc)
-      (Svc.Service.exec_pool svc)
+      (Svc.Service.pool svc)
   in
   Cmd.v
     (Cmd.info "batch"

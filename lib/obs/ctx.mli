@@ -7,11 +7,10 @@
     everything emitted while a context is installed carries the request
     id without any parameter threading.
 
-    Contexts do not cross domains by themselves.  A layer that moves
-    work between domains (the service pool, the executor pool) captures
-    {!current} when the job is submitted and re-installs it with
-    {!with_opt} around the job body on the worker domain — that is the
-    whole propagation protocol. *)
+    Contexts do not cross domains by themselves.  The domain pool
+    ([Runtime.Workers]) captures {!current} when a job is submitted and
+    re-installs it with {!with_opt} around the job body on whichever
+    domain runs it — that is the whole propagation protocol. *)
 
 type t
 

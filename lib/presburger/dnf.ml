@@ -6,19 +6,29 @@ module D = Numeric.Digest
 
 (* The presburger layer sits below Runtime in the dependency order, so the
    worker pool is injected: Runtime.Workers installs a runner that executes
-   an array of jobs on its domains ([Svc.Service] shares its exec pool this
-   way).  Without a runner — or below the threshold, or when already inside
-   a parallel disjunct job (the pool forbids nested barriers) — the work
-   runs sequentially on the caller. *)
-let runner : ((unit -> unit) array -> unit) option Atomic.t = Atomic.make None
-let set_runner r = Atomic.set runner r
+   an array of jobs on its domains.  Installed runners form a stack: the
+   most recent one runs the jobs, and a pool withdrawing its own runner
+   (a compare-and-set on the stack) leaves every other pool's in place.
+   Without a runner — or below the threshold, or when already inside a
+   parallel disjunct job (nesting would only oversplit) — the work runs
+   sequentially on the caller. *)
+type runner = (unit -> unit) array -> unit
+
+let runners : runner list Atomic.t = Atomic.make []
+
+let rec update_runners f =
+  let cur = Atomic.get runners in
+  if not (Atomic.compare_and_set runners cur (f cur)) then update_runners f
+
+let install_runner r = update_runners (fun rs -> r :: rs)
+let release_runner r = update_runners (List.filter (fun r' -> r' != r))
 let par_threshold = 4
 let in_par_job : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
 
 let par_map f xs =
-  match Atomic.get runner with
-  | None -> List.map f xs
-  | Some run ->
+  match Atomic.get runners with
+  | [] -> List.map f xs
+  | run :: _ ->
       if !(Domain.DLS.get in_par_job) then List.map f xs
       else
         let arr = Array.of_list xs in

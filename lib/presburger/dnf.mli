@@ -6,14 +6,21 @@
     digest-keyed {!Hc} tables, and independent per-disjunct elimination work
     is spread over an injected worker pool (see {!set_runner}). *)
 
-val set_runner : ((unit -> unit) array -> unit) option -> unit
-(** Installs (or removes, with [None]) the parallel job runner used for
-    independent disjunct elimination.  The runner must execute every job in
-    the array before returning (a barrier) and may re-raise a job's
-    exception; [Runtime.Workers.install_dnf_runner] wires a worker pool in.
-    Jobs never submit nested runner calls (re-entry falls back to
-    sequential), but the runner itself must tolerate concurrent calls from
-    several domains. *)
+type runner = (unit -> unit) array -> unit
+(** A parallel job runner for independent disjunct elimination.  It must
+    execute every job in the array before returning (a barrier), may
+    re-raise a job's exception, and must tolerate concurrent calls from
+    several domains.  Jobs never submit nested runner calls (re-entry
+    falls back to sequential). *)
+
+val install_runner : runner -> unit
+(** Makes [r] the active runner; [Runtime.Workers.install_dnf_runner]
+    wires a worker pool in. *)
+
+val release_runner : runner -> unit
+(** Withdraws [r] (matched physically), and only [r]: the runner installed
+    most recently before it becomes active again, or none (sequential)
+    when the stack is empty. *)
 
 val inter : Poly.t list -> Poly.t list -> Poly.t list
 (** Pairwise conjunction. *)

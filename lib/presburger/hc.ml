@@ -1,179 +1,58 @@
 (* Content-addressed node and memo tables for the presburger layer.
 
-   Every table is keyed by a 128-bit Numeric.Digest (the same FNV-1a
-   discipline as Svc.Key) and digest equality is treated as definitive:
-   a hit returns the stored value without re-checking the inputs
-   structurally.  Tables are sharded with per-shard mutexes and a
-   per-shard intrusive LRU list, modeled on Svc.Cache, so they stay
-   capacity-bounded under unbounded batch/serve traffic — eviction only
-   costs a recomputation, never correctness.
+   Every table is a Numeric.Lru keyed by a 128-bit Numeric.Digest (the
+   same FNV-1a discipline as Svc.Key) and digest equality is treated as
+   definitive: a hit returns the stored value without re-checking the
+   inputs structurally.  Tables stay capacity-bounded under unbounded
+   batch/serve traffic — eviction only costs a recomputation, never
+   correctness.
 
    Counters are registered per table as presburger.memo.<name>.{hits,
    misses,evictions}; Pipeline.Report and `recpart explain` surface them
    through the generic Obs.Metrics diff. *)
 
-module D = Numeric.Digest
+module Lru = Numeric.Lru
 
-type 'v node = {
-  nkey : D.t;
-  mutable value : 'v;
-  mutable prev : 'v node option;
-  mutable next : 'v node option;
-}
-
-type 'v shard = {
-  m : Mutex.t;
-  tbl : (D.t, 'v node) Hashtbl.t;
-  mutable head : 'v node option; (* most recently used *)
-  mutable tail : 'v node option; (* least recently used *)
-  mutable size : int;
-  cap : int;
-}
-
-type 'v memo = {
-  shards : 'v shard array;
-  hits : Obs.Counter.t;
-  misses : Obs.Counter.t;
-  evictions : Obs.Counter.t;
-}
+type 'v memo = (Numeric.Digest.t, 'v) Lru.t
 
 (* Memoization is process-wide and on by default; tests flip it off to
    compute unmemoized reference results, benches clear the tables to
-   measure a cold analyze.  The registry keeps one clear thunk and the
-   counter triple per table. *)
+   measure a cold analyze. *)
 let enabled_flag = Atomic.make true
 let set_enabled b = Atomic.set enabled_flag b
 let enabled () = Atomic.get enabled_flag
 
-type entry = {
-  e_clear : unit -> unit;
-  e_hits : Obs.Counter.t;
-  e_misses : Obs.Counter.t;
-  e_evictions : Obs.Counter.t;
-}
+type entry = E : 'v memo -> entry
 
-let registry : entry list ref = ref []
-let registry_m = Mutex.create ()
+let registry : entry list Atomic.t = Atomic.make []
 
-let locked sh f =
-  Mutex.lock sh.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sh.m) f
+let rec register e =
+  let cur = Atomic.get registry in
+  if not (Atomic.compare_and_set registry cur (e :: cur)) then register e
 
-let clear_shard sh =
-  locked sh (fun () ->
-      Hashtbl.reset sh.tbl;
-      sh.head <- None;
-      sh.tail <- None;
-      sh.size <- 0)
-
-let memo ?(shards = 8) ~name ~capacity () =
-  if capacity <= 0 then invalid_arg "Hc.memo: capacity must be > 0";
-  let shards = max 1 shards in
-  let per_shard = (capacity + shards - 1) / shards in
+let memo ?shards ~name ~capacity () =
   let t =
-    {
-      shards =
-        Array.init shards (fun _ ->
-            {
-              m = Mutex.create ();
-              tbl = Hashtbl.create 16;
-              head = None;
-              tail = None;
-              size = 0;
-              cap = per_shard;
-            });
-      hits = Obs.Counter.make (Printf.sprintf "presburger.memo.%s.hits" name);
-      misses =
-        Obs.Counter.make (Printf.sprintf "presburger.memo.%s.misses" name);
-      evictions =
-        Obs.Counter.make (Printf.sprintf "presburger.memo.%s.evictions" name);
-    }
+    Lru.create ?shards ~hash:Numeric.Digest.hash ~capacity
+      ~prefix:("presburger.memo." ^ name) ()
   in
-  Mutex.lock registry_m;
-  registry :=
-    {
-      e_clear = (fun () -> Array.iter clear_shard t.shards);
-      e_hits = t.hits;
-      e_misses = t.misses;
-      e_evictions = t.evictions;
-    }
-    :: !registry;
-  Mutex.unlock registry_m;
+  register (E t);
   t
 
-let clear_all () =
-  Mutex.lock registry_m;
-  let entries = !registry in
-  Mutex.unlock registry_m;
-  List.iter (fun e -> e.e_clear ()) entries
+let clear_all () = List.iter (fun (E t) -> Lru.clear t) (Atomic.get registry)
 
 type totals = { hits : int; misses : int; evictions : int }
 
 let totals () =
-  Mutex.lock registry_m;
-  let entries = !registry in
-  Mutex.unlock registry_m;
   List.fold_left
-    (fun acc e ->
+    (fun acc (E t) ->
+      let s = Lru.stats t in
       {
-        hits = acc.hits + Obs.Counter.value e.e_hits;
-        misses = acc.misses + Obs.Counter.value e.e_misses;
-        evictions = acc.evictions + Obs.Counter.value e.e_evictions;
+        hits = acc.hits + s.Lru.hits;
+        misses = acc.misses + s.Lru.misses;
+        evictions = acc.evictions + s.Lru.evictions;
       })
     { hits = 0; misses = 0; evictions = 0 }
-    entries
-
-let shard_of t k = t.shards.(D.hash k mod Array.length t.shards)
-
-(* List surgery below runs under the shard mutex. *)
-
-let unlink sh n =
-  (match n.prev with Some p -> p.next <- n.next | None -> sh.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> sh.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
-
-let push_front sh n =
-  n.next <- sh.head;
-  n.prev <- None;
-  (match sh.head with Some h -> h.prev <- Some n | None -> sh.tail <- Some n);
-  sh.head <- Some n
-
-let find t k =
-  let sh = shard_of t k in
-  locked sh (fun () ->
-      match Hashtbl.find_opt sh.tbl k with
-      | Some n ->
-          unlink sh n;
-          push_front sh n;
-          Obs.Counter.incr t.hits;
-          Some n.value
-      | None ->
-          Obs.Counter.incr t.misses;
-          None)
-
-let add t k v =
-  let sh = shard_of t k in
-  locked sh (fun () ->
-      match Hashtbl.find_opt sh.tbl k with
-      | Some n ->
-          n.value <- v;
-          unlink sh n;
-          push_front sh n
-      | None ->
-          let n = { nkey = k; value = v; prev = None; next = None } in
-          Hashtbl.replace sh.tbl k n;
-          push_front sh n;
-          sh.size <- sh.size + 1;
-          if sh.size > sh.cap then begin
-            match sh.tail with
-            | Some lru ->
-                unlink sh lru;
-                Hashtbl.remove sh.tbl lru.nkey;
-                sh.size <- sh.size - 1;
-                Obs.Counter.incr t.evictions
-            | None -> assert false
-          end)
+    (Atomic.get registry)
 
 (* The compute runs outside the shard lock: concurrent misses on the same
    key both compute and both store (last write wins) — duplicated work,
@@ -182,14 +61,9 @@ let add t k v =
 let get t k f =
   if not (Atomic.get enabled_flag) then f ()
   else
-    match find t k with
+    match Lru.find t k with
     | Some v -> v
     | None ->
         let v = f () in
-        add t k v;
+        Lru.add t k v;
         v
-
-let length t =
-  Array.fold_left
-    (fun acc sh -> acc + locked sh (fun () -> sh.size))
-    0 t.shards

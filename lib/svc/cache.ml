@@ -1,18 +1,4 @@
-type 'v node = {
-  nkey : Key.t;
-  mutable value : 'v;
-  mutable prev : 'v node option;
-  mutable next : 'v node option;
-}
-
-type 'v shard = {
-  m : Mutex.t;
-  tbl : (Key.t, 'v node) Hashtbl.t;
-  mutable head : 'v node option;  (* most recently used *)
-  mutable tail : 'v node option;  (* least recently used *)
-  mutable size : int;
-  cap : int;
-}
+module Lru = Numeric.Lru
 
 (* Optional durable second tier: a memory miss falls through to the
    store, a decoded payload is promoted into memory, and every insert is
@@ -24,32 +10,13 @@ type 'v tier = {
   t_decode : string -> 'v option;
 }
 
-type 'v t = {
-  shards : 'v shard array;
-  hits : Obs.Counter.t;
-  misses : Obs.Counter.t;
-  evictions : Obs.Counter.t;
-  mutable tier : 'v tier option;
-}
+type 'v t = { mem : (Key.t, 'v) Lru.t; mutable tier : 'v tier option }
 
-let create ?(shards = 8) ~capacity ~name () =
-  if capacity <= 0 then invalid_arg "Svc.Cache.create: capacity must be > 0";
-  let shards = max 1 shards in
-  let per_shard = (capacity + shards - 1) / shards in
+let create ?shards ~capacity ~name () =
   {
-    shards =
-      Array.init shards (fun _ ->
-          {
-            m = Mutex.create ();
-            tbl = Hashtbl.create 16;
-            head = None;
-            tail = None;
-            size = 0;
-            cap = per_shard;
-          });
-    hits = Obs.Counter.make (Printf.sprintf "svc.cache.%s.hits" name);
-    misses = Obs.Counter.make (Printf.sprintf "svc.cache.%s.misses" name);
-    evictions = Obs.Counter.make (Printf.sprintf "svc.cache.%s.evictions" name);
+    mem =
+      Lru.create ?shards ~hash:Key.hash ~capacity
+        ~prefix:("svc.cache." ^ name) ();
     tier = None;
   }
 
@@ -58,82 +25,22 @@ let attach_store t ~store ~encode ~decode =
     invalid_arg "Svc.Cache.attach_store: tier already attached";
   t.tier <- Some { t_store = store; t_encode = encode; t_decode = decode }
 
-let store t = Option.map (fun tier -> tier.t_store) t.tier
-
-let shard_of t k = t.shards.(Key.hash k mod Array.length t.shards)
-
-(* List surgery below runs under the shard mutex. *)
-
-let unlink sh n =
-  (match n.prev with Some p -> p.next <- n.next | None -> sh.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> sh.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
-
-let push_front sh n =
-  n.next <- sh.head;
-  n.prev <- None;
-  (match sh.head with Some h -> h.prev <- Some n | None -> sh.tail <- Some n);
-  sh.head <- Some n
-
-let locked sh f =
-  Mutex.lock sh.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sh.m) f
-
-(* Memory insert without touching the store tier — shared by [add] and
-   the disk-hit promotion path (which must not re-append the record it
-   just read). *)
-let add_mem t k v =
-  let sh = shard_of t k in
-  locked sh (fun () ->
-      match Hashtbl.find_opt sh.tbl k with
-      | Some n ->
-          n.value <- v;
-          unlink sh n;
-          push_front sh n
-      | None ->
-          let n = { nkey = k; value = v; prev = None; next = None } in
-          Hashtbl.replace sh.tbl k n;
-          push_front sh n;
-          sh.size <- sh.size + 1;
-          if sh.size > sh.cap then begin
-            match sh.tail with
-            | Some lru ->
-                unlink sh lru;
-                Hashtbl.remove sh.tbl lru.nkey;
-                sh.size <- sh.size - 1;
-                Obs.Counter.incr t.evictions
-            | None -> assert false
-          end)
-
 let find t k =
-  let sh = shard_of t k in
-  let in_mem =
-    locked sh (fun () ->
-        match Hashtbl.find_opt sh.tbl k with
-        | Some n ->
-            unlink sh n;
-            push_front sh n;
-            Obs.Counter.incr t.hits;
-            Some n.value
-        | None ->
-            Obs.Counter.incr t.misses;
-            None)
-  in
-  match (in_mem, t.tier) with
+  match (Lru.find t.mem k, t.tier) with
   | (Some _ as hit), _ -> hit
   | None, None -> None
   | None, Some tier -> (
       (* Read-through outside the shard lock: the store has its own
-         locks and a disk read must not block the hot memory path. *)
+         locks and a disk read must not block the hot memory path.  The
+         promotion must not re-append the record it just read. *)
       match Option.bind (Store.find tier.t_store k) tier.t_decode with
       | None -> None
       | Some v as hit ->
-          add_mem t k v;
+          Lru.add t.mem k v;
           hit)
 
 let add t k v =
-  add_mem t k v;
+  Lru.add t.mem k v;
   match t.tier with
   | None -> ()
   | Some tier ->
@@ -143,25 +50,4 @@ let add t k v =
       if not (Store.mem tier.t_store k) then
         Store.add tier.t_store k (tier.t_encode v)
 
-let length t =
-  Array.fold_left
-    (fun acc sh -> acc + locked sh (fun () -> sh.size))
-    0 t.shards
-
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  size : int;
-  capacity : int;
-}
-
-let stats (t : 'v t) =
-  {
-    hits = Obs.Counter.value t.hits;
-    misses = Obs.Counter.value t.misses;
-    evictions = Obs.Counter.value t.evictions;
-    size = length t;
-    capacity =
-      Array.fold_left (fun acc sh -> acc + sh.cap) 0 t.shards;
-  }
+let stats t = Lru.stats t.mem

@@ -1,27 +1,19 @@
-(** Sharded LRU cache over content-addressed {!Key}s.
-
-    Each shard owns a mutex, a hash table and an intrusive
-    most-recently-used list; a lookup or insert locks exactly one shard,
-    so concurrent requests for different keys rarely contend.  Hit, miss
-    and eviction totals are {!Obs.Counter}s registered as
-    [svc.cache.<name>.hits|misses|evictions], so they appear in
-    {!Obs.Metrics} snapshots and pipeline reports for free.
+(** The service's result cache: a sharded {!Numeric.Lru} over
+    content-addressed {!Key}s, with an optional durable {!Store} tier
+    below it.  Hit, miss and eviction totals are registered as
+    [svc.cache.<name>.hits|misses|evictions].
 
     Coherence model: the cache stores immutable analysis results keyed by
     content hash, so there is nothing to invalidate — a key can only ever
     map to one value.  Two domains missing on the same key concurrently
     may both compute the result; the second {!add} simply overwrites the
-    (identical) first.  LRU order is per shard: eviction picks the least
-    recently used entry {e of the full shard}, which approximates global
-    LRU the way sharded caches usually do. *)
+    (identical) first. *)
 
 type 'v t
 
 val create : ?shards:int -> capacity:int -> name:string -> unit -> 'v t
-(** [create ~capacity ~name ()] holds at most [capacity] entries in
-    total, split evenly over [shards] (default 8, clamped to ≥ 1; each
-    shard gets at least one slot — the effective total is
-    [shards × ⌈capacity/shards⌉ ≥ capacity]).  [name] scopes the metric
+(** [create ~capacity ~name ()] holds at most [capacity] entries over
+    [shards] (see {!Numeric.Lru.create}).  [name] scopes the metric
     counters; caches sharing a name share counters. *)
 
 val attach_store :
@@ -38,9 +30,6 @@ val attach_store :
     version-incompatible payload — degrades to a miss.  @raise
     Invalid_argument if a tier is already attached. *)
 
-val store : 'v t -> Store.t option
-(** The attached second tier, if any. *)
-
 val find : 'v t -> Key.t -> 'v option
 (** Lookup; a hit refreshes the entry's recency.  With a store tier
     attached, a memory miss that hits the log counts as a
@@ -52,16 +41,4 @@ val add : 'v t -> Key.t -> 'v -> unit
     entry when the shard is full; write-behind to the store tier when one
     is attached. *)
 
-val length : 'v t -> int
-
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  size : int;
-  capacity : int;  (** effective total capacity (see {!create}) *)
-}
-
-val stats : 'v t -> stats
-(** Counter totals are cumulative for the process (they are shared
-    metrics); diff two [stats] for a per-run view. *)
+val stats : 'v t -> Numeric.Lru.stats

@@ -1,3 +1,5 @@
+module Workers = Runtime.Workers
+
 type config = {
   domains : int;
   queue_capacity : int;
@@ -56,11 +58,11 @@ type value = {
 type t = {
   config : config;
   cache : value Cache.t;
-  pool : Pool.t;
-  exec : Runtime.Workers.t;
-      (* one executor pool for every request's parallel phases: spawned at
-         service creation, shared across the whole batch/serve lifetime
-         (spawn count scales with [threads], not with requests) *)
+  pool : Workers.t;
+      (* the one domain pool: requests are its admitted jobs, and each
+         request's parallel phases and DNF jobs are its barrier jobs;
+         spawned at service creation, shared across the whole batch/serve
+         lifetime (spawn count = [domains], not the request count) *)
   window : Obs.Window.t;
   store : Store.t option;
   mutable gauge_providers : (unit -> (string * float) list) list;
@@ -100,9 +102,8 @@ let create ?(config = default_config) () =
         Cache.create ~shards:config.cache_shards
           ~capacity:config.cache_capacity ~name:"results" ();
       pool =
-        Pool.create ~queue_capacity:config.queue_capacity
-          ~events:config.events ~domains:config.domains ();
-      exec = Runtime.Workers.create ~domains:(max 1 config.threads);
+        Workers.serving ~queue_capacity:config.queue_capacity
+          ~domains:config.domains;
       window = Obs.Window.create ~windows:config.windows ~period_s:config.window_s ();
       store;
       gauge_providers = [];
@@ -113,18 +114,16 @@ let create ?(config = default_config) () =
       Cache.attach_store t.cache ~store ~encode:encode_value
         ~decode:decode_value)
     store;
-  (* The exec pool doubles as the presburger layer's DNF-disjunct runner,
-     so analysis-side set algebra parallelizes over the same domains. *)
-  Runtime.Workers.install_dnf_runner t.exec;
+  (* The pool doubles as the presburger layer's DNF-disjunct runner, so
+     analysis-side set algebra parallelizes over the same domains. *)
+  Workers.install_dnf_runner t.pool;
   if config.flight then Obs.Flight.enable ();
   t
 
 let cache_stats t = Cache.stats t.cache
-let exec_pool t = t.exec
+let pool t = t.pool
 let window t = t.window
 let store t = t.store
-let pool_capacity t = Pool.capacity t.pool
-let pool_queue_length t = Pool.queue_length t.pool
 
 let register_gauges t provider =
   t.gauge_providers <- provider :: t.gauge_providers
@@ -132,10 +131,9 @@ let register_gauges t provider =
 let flush_store t = Option.iter Store.flush t.store
 
 let shutdown t =
-  Runtime.Workers.uninstall_dnf_runner ();
+  Workers.uninstall_dnf_runner t.pool;
   if t.config.flight then Obs.Flight.disable ();
-  Pool.shutdown t.pool;
-  Runtime.Workers.shutdown t.exec;
+  Workers.shutdown t.pool;
   Option.iter Store.close t.store
 
 (* Same exception → Diag mapping as Pipeline.Driver.guarded: the known
@@ -248,7 +246,7 @@ let compute t (req : Proto.request) prog ~threads =
           measure = t.config.measure;
           strategy = req.strategy;
           exec_engine = t.config.exec_engine;
-          workers = Some t.exec;
+          workers = Some t.pool;
           sink = t.config.sink;
           events = t.config.events;
         }
@@ -297,13 +295,10 @@ let stats_body t =
      and domain counts are levels — exported as gauges alongside them. *)
   let gauges =
     [
-      ("svc.pool.domains", float_of_int (Pool.domains t.pool));
-      (* "queue_now" not "queue_depth": the per-submit depth histogram
-         already owns that name in the exposition. *)
-      ("svc.pool.queue_now", float_of_int (Pool.queue_length t.pool));
-      ("svc.pool.queue_capacity", float_of_int (Pool.capacity t.pool));
-      ("runtime.workers.domains", float_of_int (Runtime.Workers.domains t.exec));
-      ("runtime.workers.spawned", float_of_int (Runtime.Workers.spawned t.exec));
+      ("runtime.workers.domains", float_of_int (Workers.domains t.pool));
+      ("runtime.workers.queue_now", float_of_int (Workers.queue_length t.pool));
+      ( "runtime.workers.queue_capacity",
+        float_of_int (Workers.queue_capacity t.pool) );
     ]
     @ (match t.store with
       | None -> []
@@ -322,12 +317,9 @@ let stats_body t =
 
 let health_body t =
   let module Json = Pipeline.Json in
-  let alive = Pool.alive t.pool in
-  let qlen = Pool.queue_length t.pool in
-  let qcap = Pool.capacity t.pool in
-  (* Cache.length takes every shard lock in turn — a responsiveness probe
-     as much as a size reading. *)
-  let cache_size = Cache.length t.cache in
+  let alive = Workers.alive t.pool in
+  let qlen = Workers.queue_length t.pool in
+  let qcap = Workers.queue_capacity t.pool in
   let st = Cache.stats t.cache in
   let ok = alive && qlen < qcap in
   let detail =
@@ -337,21 +329,15 @@ let health_body t =
            Json.Obj
              [
                ("alive", Json.Bool alive);
-               ("domains", Json.Int (Pool.domains t.pool));
+               ("domains", Json.Int (Workers.domains t.pool));
                ("queue_depth", Json.Int qlen);
                ("queue_capacity", Json.Int qcap);
              ] );
          ( "cache",
            Json.Obj
              [
-               ("size", Json.Int cache_size);
-               ("capacity", Json.Int st.Cache.capacity);
-             ] );
-         ( "exec",
-           Json.Obj
-             [
-               ("domains", Json.Int (Runtime.Workers.domains t.exec));
-               ("spawned", Json.Int (Runtime.Workers.spawned t.exec));
+               ("size", Json.Int st.Numeric.Lru.size);
+               ("capacity", Json.Int st.Numeric.Lru.capacity);
              ] );
          ( "windows",
            Json.Obj
@@ -606,6 +592,24 @@ type admission =
   | Accepted
   | Shed of { queue_depth : int; queue_capacity : int }
 
+(* Hand one Run/Classify request to the pool with [admit] (blocking or
+   not), its response going to [k] on a pool domain.  The request context
+   is minted here and installed around admission: the pool captures it
+   with the job, so every span/event of the pooled run carries this trace
+   id. *)
+let enqueue t (req : Proto.request) ~admit ~k =
+  let ctx = Obs.Ctx.make () in
+  Obs.Ctx.with_ctx ctx @@ fun () ->
+  Obs.Event.emit ~log:t.config.events ~severity:Obs.Event.Debug ~scope:"svc"
+    ~name:"request.submit" (fun () -> [ ("id", Obs.Event.Str req.Proto.id) ]);
+  let submitted_ns = Obs.Clock.now_ns () in
+  admit t.pool (fun () ->
+      k
+        (try process t req ~submitted_ns
+         with e ->
+           Proto.error_response ~id:req.Proto.id ~trace:(Obs.Ctx.id ctx)
+             (Proto.Panic (Printexc.to_string e))))
+
 (* Asynchronous admission for the network server: one request, one
    continuation, no blocking.  Introspective ops are answered inline on
    the caller (they read registries, never the pool); everything else is
@@ -617,70 +621,32 @@ let submit t (req : Proto.request) ~k =
     k (run_one t req);
     Accepted
   end
-  else begin
-    (* Same trace discipline as [batch]: mint the context at submit so
-       the pool job and every span/event it causes carry it. *)
-    let ctx = Obs.Ctx.make () in
-    Obs.Ctx.with_ctx ctx @@ fun () ->
-    Obs.Event.emit ~log:t.config.events ~severity:Obs.Event.Debug ~scope:"svc"
-      ~name:"request.submit" (fun () ->
-        [ ("id", Obs.Event.Str req.Proto.id) ]);
-    let submitted_ns = Obs.Clock.now_ns () in
-    let job () =
-      let resp =
-        try process t req ~submitted_ns
-        with e ->
-          Proto.error_response ~id:req.Proto.id ~trace:(Obs.Ctx.id ctx)
-            (Proto.Panic (Printexc.to_string e))
-      in
-      k resp
-    in
-    if Pool.try_submit t.pool job then Accepted
-    else
-      Shed
-        {
-          queue_depth = Pool.queue_length t.pool;
-          queue_capacity = Pool.capacity t.pool;
-        }
-  end
+  else if enqueue t req ~admit:Workers.try_submit ~k then Accepted
+  else
+    Shed
+      {
+        queue_depth = Workers.queue_length t.pool;
+        queue_capacity = Workers.queue_capacity t.pool;
+      }
 
 let batch t reqs =
   let reqs = Array.of_list reqs in
-  let n = Array.length reqs in
-  let out = Array.make n None in
+  let out = Array.make (Array.length reqs) None in
   let m = Mutex.create () in
   let all_done = Condition.create () in
-  let pooled (req : Proto.request) =
-    not (Proto.introspective req.Proto.mode)
-  in
+  let pooled (req : Proto.request) = not (Proto.introspective req.Proto.mode) in
   let remaining =
     ref (Array.fold_left (fun k r -> if pooled r then k + 1 else k) 0 reqs)
   in
   Array.iteri
-    (fun i (req : Proto.request) ->
-      if pooled req then begin
-        (* Mint the request context here and install it around submit:
-           Pool.submit captures it with the job, so the dequeue event and
-           every span/event of the pooled run carry this trace id. *)
-        let ctx = Obs.Ctx.make () in
-        Obs.Ctx.with_ctx ctx @@ fun () ->
-        Obs.Event.emit ~log:t.config.events ~severity:Obs.Event.Debug
-          ~scope:"svc" ~name:"request.submit" (fun () ->
-            [ ("id", Obs.Event.Str req.Proto.id) ]);
-        let submitted_ns = Obs.Clock.now_ns () in
-        Pool.submit t.pool (fun () ->
-            let resp =
-              try process t req ~submitted_ns
-              with e ->
-                Proto.error_response ~id:req.Proto.id ~trace:(Obs.Ctx.id ctx)
-                  (Proto.Panic (Printexc.to_string e))
-            in
+    (fun i req ->
+      if pooled req then
+        enqueue t req ~admit:Workers.submit ~k:(fun resp ->
             out.(i) <- Some resp;
             Mutex.lock m;
             decr remaining;
             if !remaining = 0 then Condition.signal all_done;
-            Mutex.unlock m)
-      end)
+            Mutex.unlock m))
     reqs;
   Mutex.lock m;
   while !remaining > 0 do
@@ -691,8 +657,6 @@ let batch t reqs =
      trailing metrics/health line observes the whole batch — and a
      deterministic cache hit-rate — rather than a race-dependent prefix. *)
   Array.iteri
-    (fun i (req : Proto.request) ->
-      if not (pooled req) then out.(i) <- Some (run_one t req))
+    (fun i req -> if not (pooled req) then out.(i) <- Some (run_one t req))
     reqs;
-  Array.to_list
-    (Array.map (function Some r -> r | None -> assert false) out)
+  Array.to_list (Array.map Option.get out)

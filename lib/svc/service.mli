@@ -15,7 +15,7 @@
     running pipeline stage is never interrupted mid-flight.
 
     Every request runs under an {!Obs.Ctx} (minted at submit, propagated
-    through the pool and the executor domains), so all spans/events it
+    through the pool to every domain that works for the request), so all spans/events it
     causes carry its trace id, which is also stamped into the response.
     Failed requests (deadline/pipeline/panic) dump their flight-recorder
     history to [config.flight_dir]; {!Proto.Metrics}/{!Proto.Health}
@@ -23,11 +23,13 @@
     rolling {!Obs.Window} without touching the cache. *)
 
 type config = {
-  domains : int;  (** worker domains draining the queue *)
+  domains : int;  (** pool domains running requests (all of them spawned) *)
   queue_capacity : int;  (** bounded submit queue (backpressure) *)
   cache_capacity : int;  (** total cached results (see {!Cache.create}) *)
   cache_shards : int;
-  threads : int;  (** default execution domains per request *)
+  threads : int;
+      (** default parallel units per execution phase of a request; they
+          run on the pool's domains *)
   check : bool;  (** validate legality + sequential equivalence *)
   measure : bool;
   deadline_s : float option;  (** default per-request deadline *)
@@ -65,7 +67,7 @@ val default_config : config
 type t
 
 val create : ?config:config -> unit -> t
-(** Spawns the worker pool (and opens the durable store when
+(** Spawns the pool's [config.domains] domains (and opens the durable store when
     [config.store_dir] is set); call {!shutdown} when done. *)
 
 val run_one : t -> Proto.request -> Proto.response
@@ -93,7 +95,7 @@ val submit : t -> Proto.request -> k:(Proto.response -> unit) -> admission
     load-shedding signal, rendered as a typed [overloaded] record.  [k]
     must not raise; an exception from it is counted as a pool panic. *)
 
-val cache_stats : t -> Cache.stats
+val cache_stats : t -> Numeric.Lru.stats
 
 val store : t -> Store.t option
 (** The durable tier, when [config.store_dir] was set. *)
@@ -101,11 +103,6 @@ val store : t -> Store.t option
 val flush_store : t -> unit
 (** Force the store's write-behind buffers to disk (no-op without a
     store).  The server calls this on graceful drain. *)
-
-val pool_capacity : t -> int
-val pool_queue_length : t -> int
-(** Queue state for rendering {!Shed} into an [overloaded] record and
-    for the health op's headroom signal. *)
 
 val register_gauges : t -> (unit -> (string * float) list) -> unit
 (** Add gauge providers sampled by the [metrics] op's export (the
@@ -116,12 +113,13 @@ val window : t -> Obs.Window.t
 (** The service's rolling aggregation window (rolled from the request
     hot path; what the [metrics] op's windowed quantiles read). *)
 
-val exec_pool : t -> Runtime.Workers.t
-(** The persistent executor pool shared by every request's parallel
-    phases — created once with [config.threads] domains at {!create}
-    (its spawn count scales with the pool size, never with the request
-    count). *)
+val pool : t -> Runtime.Workers.t
+(** The service's one domain pool, created at {!create} with
+    {!Runtime.Workers.serving}: [config.domains] helpers run the admitted
+    requests, and each request's parallel phases and DNF-disjunct jobs
+    run on the same domains (its spawn count equals [config.domains],
+    never the request count). *)
 
 val shutdown : t -> unit
-(** Drain in-flight work, join the workers and shut the executor pool
-    down.  Idempotent. *)
+(** Drain in-flight work, withdraw the pool's DNF runner and join its
+    domains.  Idempotent. *)

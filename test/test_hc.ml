@@ -90,21 +90,6 @@ let test_intern_sharing () =
 
 let key i = D.add_int D.seed i
 
-let test_memo_lru () =
-  let t : int Hc.memo = Hc.memo ~shards:1 ~name:"test.lru" ~capacity:4 () in
-  for i = 0 to 3 do
-    Hc.add t (key i) i
-  done;
-  Alcotest.(check int) "filled to capacity" 4 (Hc.length t);
-  (* Touch key 0 so key 1 becomes the eviction victim. *)
-  Alcotest.(check bool) "find hits" true (Hc.find t (key 0) = Some 0);
-  Hc.add t (key 4) 4;
-  Alcotest.(check int) "capacity bound holds" 4 (Hc.length t);
-  Alcotest.(check bool)
-    "recently-used key survives" true
-    (Hc.find t (key 0) <> None);
-  Alcotest.(check bool) "LRU key evicted" true (Hc.find t (key 1) = None)
-
 let test_memo_get () =
   let t : int Hc.memo = Hc.memo ~shards:1 ~name:"test.get" ~capacity:8 () in
   let calls = ref 0 in
@@ -123,7 +108,7 @@ let test_memo_get () =
     "failed compute was not cached" 7
     (Hc.get t (key 11) (fun () -> 7));
   Hc.clear_all ();
-  Alcotest.(check int) "clear_all empties the table" 0 (Hc.length t)
+  Alcotest.(check int) "clear_all empties the table" 0 (Numeric.Lru.stats t).Numeric.Lru.size
 
 let test_memo_disabled () =
   let t : int Hc.memo = Hc.memo ~shards:1 ~name:"test.off" ~capacity:8 () in
@@ -137,7 +122,7 @@ let test_memo_disabled () =
       ignore (Hc.get t (key 1) f);
       ignore (Hc.get t (key 1) f);
       Alcotest.(check int) "no caching when disabled" 2 !calls;
-      Alcotest.(check int) "table untouched" 0 (Hc.length t));
+      Alcotest.(check int) "table untouched" 0 (Numeric.Lru.stats t).Numeric.Lru.size);
   Alcotest.(check bool) "re-enabled" true (Hc.enabled ())
 
 (* ------------------------------------------------------------------ *)
@@ -369,7 +354,8 @@ let () =
         ] );
       ( "memo",
         [
-          Alcotest.test_case "lru eviction order" `Quick test_memo_lru;
+          Alcotest.test_case "lru eviction order" `Quick (fun () ->
+              Lru_cases.lru_order Lru_cases.hc_memo);
           Alcotest.test_case "get computes once" `Quick test_memo_get;
           Alcotest.test_case "disabled bypass" `Quick test_memo_disabled;
         ] );

@@ -571,7 +571,7 @@ let test_doall_chunk_ranges () =
     [ (1, 0); (4, 0); (1, 7); (3, 7); (7, 7); (12, 7); (0, 5); (-2, 5); (8, 64) ]
 
 (* ------------------------------------------------------------------ *)
-(* Workers: the persistent executor pool                                *)
+(* Workers: the one domain pool                                        *)
 
 module Workers = Runtime.Workers
 
@@ -662,6 +662,76 @@ let test_workers_telemetry_consistency () =
         h.Obs.Histogram.count);
   Alcotest.(check int) "all thunks really ran" (5 * (8 * 7 / 2))
     (Atomic.get total)
+
+let test_workers_admitted_job_runs_phase () =
+  (* An admitted job calling [run] completes while every other helper is
+     busy with another admitted job and more are queued behind it: its
+     caller drains barrier jobs only, so it never picks up (and blocks
+     on) a queued request. *)
+  List.iter
+    (fun domains ->
+      let w = Workers.serving ~queue_capacity:16 ~domains in
+      let release = Atomic.make false and started = Atomic.make 0 in
+      let block () =
+        Atomic.incr started;
+        while not (Atomic.get release) do
+          Unix.sleepf 0.001
+        done
+      in
+      for _ = 2 to domains do
+        Workers.submit w block
+      done;
+      while Atomic.get started < domains - 1 do
+        Domain.cpu_relax ()
+      done;
+      let result = Atomic.make None in
+      Workers.submit w (fun () ->
+          Atomic.set result (Some (Workers.run w (Array.init 8 (fun i () -> i)))));
+      for _ = 1 to domains do
+        Workers.submit w block
+      done;
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while Atomic.get result = None && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      let got = Atomic.get result in
+      Atomic.set release true;
+      Workers.shutdown w;
+      Alcotest.(check (option (array int)))
+        (Printf.sprintf "phase done within 10 s at %d domains" domains)
+        (Some (Array.init 8 Fun.id))
+        got)
+    [ 1; 2; 4 ]
+
+let test_workers_caller_skips_admitted () =
+  (* The helper takes the caller's second thunk, which admits a job and
+     stays busy for a while.  The caller, done with its first thunk, finds
+     the barrier queue empty: it must wait at its barrier rather than run
+     the admitted job on its own stack. *)
+  let w = Workers.serving ~queue_capacity:4 ~domains:1 in
+  let submitted = Atomic.make false and ran_on = Atomic.make None in
+  let r =
+    Workers.run w
+      [|
+        (fun () ->
+          while not (Atomic.get submitted) do
+            Domain.cpu_relax ()
+          done;
+          0);
+        (fun () ->
+          Workers.submit w (fun () -> Atomic.set ran_on (Some (Domain.self ())));
+          Atomic.set submitted true;
+          Unix.sleepf 0.05;
+          1);
+      |]
+  in
+  Workers.shutdown w;
+  Alcotest.(check (array int)) "run completes" [| 0; 1 |] r;
+  match Atomic.get ran_on with
+  | None -> Alcotest.fail "admitted job never ran"
+  | Some d ->
+      Alcotest.(check bool) "ran on the helper, not the caller" true
+        ((d :> int) <> (Domain.self () :> int))
 
 let test_exec_degenerate_threads () =
   (* threads ≤ 0 must clamp to sequential execution, not crash or spawn. *)
@@ -828,5 +898,9 @@ let () =
             test_workers_shutdown_idempotent_and_post_run;
           Alcotest.test_case "telemetry counters consistent on 4 domains"
             `Quick test_workers_telemetry_consistency;
+          Alcotest.test_case "admitted job runs a phase, helpers busy" `Quick
+            test_workers_admitted_job_runs_phase;
+          Alcotest.test_case "run caller never runs an admitted job" `Quick
+            test_workers_caller_skips_admitted;
         ] );
     ]

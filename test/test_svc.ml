@@ -1,13 +1,16 @@
 (* Tests for the analysis service layer: content-addressed keys (format
-   insensitivity, alpha-renaming, determinism), the sharded LRU cache
-   (eviction order, capacity, multi-domain consistency), the domain pool
-   (drain-on-shutdown, panic isolation, pool-of-1 ≡ sequential), the
+   insensitivity, alpha-renaming, determinism), the sharded LRU behind
+   both the result cache and the presburger memo tables (eviction order,
+   capacity, multi-domain consistency), the one domain pool serving
+   requests (drain-on-shutdown, panic isolation, pool-of-1 ≡ sequential,
+   spawn count, DNF runner ownership), the
    JSONL protocol, and end-to-end service behavior (cache hits on
    duplicates, per-request error isolation, deadlines). *)
 
 module Key = Svc.Key
 module Cache = Svc.Cache
-module Pool = Svc.Pool
+module Lru = Numeric.Lru
+module Workers = Runtime.Workers
 module Proto = Svc.Proto
 module Service = Svc.Service
 
@@ -98,99 +101,48 @@ let key_of_int =
   let p = parse "keygen" base_src in
   fun i -> Key.of_request ~params:[ ("n", i) ] p
 
-let test_cache_lru_order () =
-  let c = Cache.create ~shards:1 ~capacity:3 ~name:"t-lru" () in
-  let k = Array.init 4 key_of_int in
-  Cache.add c k.(0) "a";
-  Cache.add c k.(1) "b";
-  Cache.add c k.(2) "c";
-  (* refresh a, so b is now least recently used *)
-  Alcotest.(check (option string)) "hit a" (Some "a") (Cache.find c k.(0));
-  Cache.add c k.(3) "d";
-  Alcotest.(check (option string)) "b evicted" None (Cache.find c k.(1));
-  Alcotest.(check (option string)) "a kept" (Some "a") (Cache.find c k.(0));
-  Alcotest.(check (option string)) "c kept" (Some "c") (Cache.find c k.(2));
-  Alcotest.(check (option string)) "d kept" (Some "d") (Cache.find c k.(3));
-  Alcotest.(check int) "still 3 entries" 3 (Cache.length c)
+(* The one LRU behind both wrappers: the cases of Lru_cases run against
+   the service result cache here and against a presburger memo table
+   (test_hc runs the eviction-order case on its own memo). *)
+let svc_keys = Array.init 101 key_of_int
 
-let test_cache_capacity_bound () =
-  let c = Cache.create ~shards:4 ~capacity:10 ~name:"t-cap" () in
-  let effective = (Cache.stats c).Cache.capacity in
-  Alcotest.(check bool)
-    "effective capacity covers requested" true (effective >= 10);
-  for i = 1 to 100 do
-    Cache.add c (key_of_int i) (string_of_int i)
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "length %d <= effective capacity %d" (Cache.length c)
-       effective)
-    true
-    (Cache.length c <= effective);
-  let st = Cache.stats c in
-  Alcotest.(check int) "size matches length" (Cache.length c) st.Cache.size;
-  Alcotest.(check bool) "evictions happened" true (st.Cache.evictions > 0)
+let svc_cache ~shards ~capacity ~name =
+  let c = Cache.create ~shards ~capacity ~name () in
+  {
+    Lru_cases.find = (fun i -> Cache.find c svc_keys.(i));
+    add = (fun i -> Cache.add c svc_keys.(i));
+    stats = (fun () -> Cache.stats c);
+  }
 
-let test_cache_concurrent () =
-  let c = Cache.create ~shards:8 ~capacity:16 ~name:"t-conc" () in
-  let before = Cache.stats c in
-  let keys = Array.init 32 key_of_int in
-  let lookups_per_domain = 1_000 in
-  let worker seed () =
-    let state = ref seed in
-    for _ = 1 to lookups_per_domain do
-      (* xorshift: cheap deterministic per-domain key sequence *)
-      state := !state lxor (!state lsl 13);
-      state := !state lxor (!state lsr 7);
-      state := !state lxor (!state lsl 17);
-      let i = abs !state mod Array.length keys in
-      match Cache.find c keys.(i) with
-      | Some _ -> ()
-      | None -> Cache.add c keys.(i) "v"
-    done
-  in
-  let domains = List.init 4 (fun d -> Domain.spawn (worker (d + 1))) in
-  List.iter Domain.join domains;
-  let st = Cache.stats c in
-  let hits = st.Cache.hits - before.Cache.hits in
-  let misses = st.Cache.misses - before.Cache.misses in
-  Alcotest.(check int)
-    "every lookup was a hit or a miss"
-    (4 * lookups_per_domain)
-    (hits + misses);
-  Alcotest.(check bool) "some hits" true (hits > 0);
-  Alcotest.(check bool)
-    "size within capacity" true
-    (st.Cache.size <= st.Cache.capacity);
-  Alcotest.(check int) "length agrees with stats" st.Cache.size
-    (Cache.length c)
+let on_both_lrus test () = List.iter test [ svc_cache; Lru_cases.hc_memo ]
 
 (* ------------------------------------------------------------------ *)
-(* Pool                                                                 *)
+(* Pool: the service's admitted jobs on the one Runtime.Workers pool    *)
 
 let test_pool_shutdown_drains () =
-  let pool = Pool.create ~queue_capacity:8 ~domains:2 () in
+  let pool = Workers.serving ~queue_capacity:8 ~domains:2 in
   let done_count = Atomic.make 0 in
   for _ = 1 to 50 do
-    Pool.submit pool (fun () -> Atomic.incr done_count)
+    Workers.submit pool (fun () -> Atomic.incr done_count)
   done;
-  Pool.shutdown pool;
+  Workers.shutdown pool;
   Alcotest.(check int) "all queued jobs ran" 50 (Atomic.get done_count);
   Alcotest.(check bool)
     "submit after shutdown raises Closed" true
-    (match Pool.submit pool (fun () -> ()) with
+    (match Workers.submit pool (fun () -> ()) with
     | () -> false
-    | exception Pool.Closed -> true)
+    | exception Workers.Closed -> true)
 
 let test_pool_panic_isolation () =
-  let panics = Obs.Counter.make "svc.pool.panics" in
+  let panics = Obs.Counter.make "runtime.workers.panics" in
   let before = Obs.Counter.value panics in
-  let pool = Pool.create ~queue_capacity:4 ~domains:2 () in
+  let pool = Workers.serving ~queue_capacity:4 ~domains:2 in
   let ok = Atomic.make 0 in
   for i = 1 to 20 do
-    if i mod 2 = 0 then Pool.submit pool (fun () -> failwith "boom")
-    else Pool.submit pool (fun () -> Atomic.incr ok)
+    if i mod 2 = 0 then Workers.submit pool (fun () -> failwith "boom")
+    else Workers.submit pool (fun () -> Atomic.incr ok)
   done;
-  Pool.shutdown pool;
+  Workers.shutdown pool;
   Alcotest.(check int) "good jobs all completed" 10 (Atomic.get ok);
   Alcotest.(check int) "panics counted" 10 (Obs.Counter.value panics - before)
 
@@ -311,6 +263,57 @@ let quiet_config ~domains =
     measure = false;
   }
 
+(* Service.create spawns exactly [config.domains] domains whatever the
+   per-request thread count, and a batch spawns nothing more: requests,
+   their phases and their DNF jobs all run on those domains. *)
+let test_service_spawns_domains () =
+  let spawned = Obs.Counter.make "runtime.workers.spawned" in
+  List.iter
+    (fun threads ->
+      let s0 = Obs.Counter.value spawned in
+      let svc = Service.create ~config:{ (quiet_config ~domains:3) with threads } () in
+      let resps =
+        Service.batch svc
+          (List.init 100 (fun i ->
+               Proto.request ~id:(string_of_int i) ~name:"tri"
+                 ~params:[ ("n", 6 + (i mod 7)) ]
+                 ~mode:(if i mod 2 = 0 then Proto.Run else Proto.Classify)
+                 (Proto.Src base_src)))
+      in
+      Service.shutdown svc;
+      Alcotest.(check bool) "all ok" true (List.for_all Proto.ok resps);
+      Alcotest.(check int)
+        (Printf.sprintf "threads=%d: spawned = config.domains" threads)
+        3
+        (Obs.Counter.value spawned - s0))
+    [ 1; 2; 4 ]
+
+(* Shutting one service down withdraws only its own DNF runner: the other,
+   still live, keeps running its set algebra on its pool, in either
+   shutdown order.  Cold memo tables make the classify really eliminate
+   coupled_skew2d's ≥ 4 disjuncts in parallel. *)
+let test_dnf_runner_ownership () =
+  let runs = Obs.Counter.make "runtime.workers.runs" in
+  let prog = List.assoc "coupled_skew2d" Loopir.Builtin.corpus in
+  let req =
+    Proto.request ~id:"skew" ~name:"skew" ~mode:Proto.Classify
+      ~params:(List.map (fun p -> (p, 8)) prog.Loopir.Ast.params)
+      (Proto.Prog prog)
+  in
+  List.iter
+    (fun first_down ->
+      let a = Service.create ~config:(quiet_config ~domains:2) () in
+      let b = Service.create ~config:(quiet_config ~domains:2) () in
+      let down, live = if first_down then (a, b) else (b, a) in
+      Service.shutdown down;
+      Presburger.Hc.clear_all ();
+      let r0 = Obs.Counter.value runs in
+      Alcotest.(check bool) "classify ok" true (Proto.ok (Service.run_one live req));
+      Alcotest.(check bool) "live pool runs DNF jobs" true
+        (Obs.Counter.value runs > r0);
+      Service.shutdown live)
+    [ true; false ]
+
 (* With one worker the batch is sequential, so every duplicate after the
    first must be a cache hit — no miss race is possible. *)
 let test_service_duplicate_hits () =
@@ -342,7 +345,7 @@ let test_service_duplicate_hits () =
       Alcotest.(check bool) (r.Proto.id ^ " ok") true (Proto.ok r))
     responses;
   Alcotest.(check int) "three copies of each nest hit" 9
-    (after.Cache.hits - before.Cache.hits);
+    (after.Lru.hits - before.Lru.hits);
   let cached =
     List.length (List.filter (fun r -> r.Proto.cached) responses)
   in
@@ -471,7 +474,7 @@ let test_service_health_op () =
             (fun key ->
               Alcotest.(check bool) (key ^ " block present") true
                 (List.mem_assoc key fields))
-            [ "pool"; "cache"; "exec"; "windows" ]
+            [ "pool"; "cache"; "windows" ]
       | _ -> Alcotest.fail "health detail is not an object")
   | _ -> Alcotest.fail "health op should answer with Healthy"
 
@@ -587,10 +590,12 @@ let () =
         ] );
       ( "cache",
         [
-          Alcotest.test_case "lru eviction order" `Quick test_cache_lru_order;
-          Alcotest.test_case "capacity bound" `Quick test_cache_capacity_bound;
+          Alcotest.test_case "lru eviction order" `Quick
+            (fun () -> Lru_cases.lru_order svc_cache);
+          Alcotest.test_case "capacity bound" `Quick
+            (on_both_lrus Lru_cases.capacity_bound);
           Alcotest.test_case "4-domain consistency" `Quick
-            test_cache_concurrent;
+            (on_both_lrus Lru_cases.concurrent);
         ] );
       ( "pool",
         [
@@ -600,6 +605,10 @@ let () =
             test_pool_panic_isolation;
           Alcotest.test_case "pool of 1 = sequential" `Quick
             test_pool_of_one_sequential;
+          Alcotest.test_case "spawns config.domains, once" `Quick
+            test_service_spawns_domains;
+          Alcotest.test_case "dnf runner ownership" `Quick
+            test_dnf_runner_ownership;
         ] );
       ( "proto",
         [
