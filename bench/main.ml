@@ -1,7 +1,9 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 4) and then times the analysis pipeline with
-   bechamel.  See DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-   for recorded paper-vs-measured values.
+   evaluation (Section 4) and writes the per-stage pipeline reports that
+   the regression gate reads.  Wall-clock timing of the executor and the
+   service lives in perfbench/ (workloads exec-hot and svc-mix).  See
+   DESIGN.md §4 for the experiment index and EXPERIMENTS.md for recorded
+   paper-vs-measured values.
 
    Usage:  dune exec bench/main.exe            (full: paper parameters)
            dune exec bench/main.exe -- --quick (reduced sizes)
@@ -760,9 +762,10 @@ let builtin_corpus sc =
   ]
 
 (* E14 — predicted-vs-actual cost-model accounting: run the corpus at
-   t = 1 with the uncalibrated default cost, fit the constants from the
-   fastest of three such runs per program ({!Runtime.Sim.calibrate}), re-run with the calibrated
-   cost, and record the mean total relative error before and after.  Only
+   t = 1 with the uncalibrated default cost, fit each program's
+   constants from its fastest of three such runs
+   ({!Runtime.Sim.calibrate}), re-run it with its calibrated cost, and
+   record the mean total relative error before and after.  Only
    the post-calibration error is gated (as an integer percentage): the
    default-cost error says nothing about regressions, but the calibrated
    model drifting away from the executor does.  t = 1 keeps the phase
@@ -816,39 +819,42 @@ let prediction_entry () =
      microseconds-short at bench sizes, so a single unlucky scheduling
      hiccup would otherwise move the fitted constants or the gated error
      counter. *)
-  let best_of_3 ?cost key =
-    let passes =
-      List.init 3 (fun _ -> List.filter_map (fun p -> run_one ?cost p) programs)
-    in
+  let best_of_3 ?cost key prog =
+    List.fold_left
+      (fun acc r ->
+        match (acc, r) with
+        | Some b, Some r when key b <= key r -> acc
+        | _, Some _ -> r
+        | _, None -> acc)
+      None
+      (List.init 3 (fun _ -> run_one ?cost prog))
+  in
+  (* Calibrate each program from its own fastest uncalibrated run, as
+     [recpart profile --calibrate] then [--cost] does: a slow sample
+     would inflate the fitted per-iteration cost, and one constant pooled
+     across the corpus cannot fit per-instance costs that differ
+     threefold (ROADMAP item 2). *)
+  let wall (_, _, o) =
+    List.fold_left
+      (fun a (p : Pipeline.Report.phase_profile) ->
+        a +. p.Pipeline.Report.seconds)
+      0.0 o.Pipeline.Driver.report.Pipeline.Report.phases
+  in
+  let fitted =
     List.filter_map
-      (fun (name, _, _) ->
-        List.fold_left
-          (fun acc pass ->
-            match List.find_opt (fun (n, _, _) -> n = name) pass with
-            | Some r -> (
-                match acc with
-                | Some b when key b <= key r -> acc
-                | _ -> Some r)
-            | None -> acc)
-          None passes)
-      (List.hd passes)
+      (fun prog -> Option.map (fun r -> (prog, r)) (best_of_3 wall prog))
+      programs
   in
-  (* Calibrate from each program's fastest uncalibrated run: a slow
-     sample would inflate the fitted per-iteration cost. *)
-  let pre =
-    best_of_3 (fun (_, _, o) ->
-        List.fold_left
-          (fun a (p : Pipeline.Report.phase_profile) ->
-            a +. p.Pipeline.Report.seconds)
-          0.0 o.Pipeline.Driver.report.Pipeline.Report.phases)
-  in
-  let samples = List.concat_map (fun (_, _, o) -> samples_of o) pre in
+  let pre = List.map snd fitted in
   let post =
-    match Runtime.Sim.calibrate samples with
-    | None ->
-        Printf.printf "  calibration failed: no measured work in corpus\n";
-        []
-    | Some cost -> best_of_3 ~cost (fun (_, e, _) -> e)
+    List.filter_map
+      (fun (prog, (name, _, o)) ->
+        match Runtime.Sim.calibrate (samples_of o) with
+        | None ->
+            Printf.printf "  %s: calibration failed: no measured work\n" name;
+            None
+        | Some cost -> best_of_3 ~cost (fun (_, e, _) -> e) prog)
+      fitted
   in
   Printf.printf "  %-10s %12s %12s\n" "program" "pre" "post";
   List.iter
@@ -1033,745 +1039,6 @@ let pipeline_json () =
   doc
 
 (* ------------------------------------------------------------------ *)
-(* E15 — socket service under concurrent clients → BENCH_service.json   *)
-
-(* The network front-end end to end: a real server on a Unix socket, 4
-   concurrent pipelined clients replaying a corpus, three phases — cold
-   (fresh process, empty store), memo-warm (same process, replay) and
-   disk-warm (restarted process on the same store directory, primed by
-   one sequential pass over the distinct keys).  Wall times and
-   latencies are machine-dependent plain fields; the deterministic facts
-   — response counts, warm hits, disk-warm hits, store reads, shed = 0
-   at this (nominal) load — are the gated counters. *)
-let socket_bench () =
-  section
-    "E15 / socket service: 4 concurrent clients, cold vs memo-warm vs \
-     disk-warm";
-  let clients = 4 in
-  let reps = if quick then 1 else 3 in
-  (* 33 distinct keys (>= the gate's count floor), duplicated
-     [reps * clients] times across the phase *)
-  let base =
-    List.concat
-      (List.init 11 (fun v ->
-           [
-             Svc.Proto.request
-               ~id:(Printf.sprintf "e1-%d" v)
-               ~name:"example1"
-               ~params:[ ("n1", 8 + v); ("n2", 12 + v) ]
-               (Svc.Proto.Prog Loopir.Builtin.example1);
-             Svc.Proto.request
-               ~id:(Printf.sprintf "e2-%d" v)
-               ~name:"example2"
-               ~params:[ ("n", 10 + v) ]
-               (Svc.Proto.Prog Loopir.Builtin.example2);
-             Svc.Proto.request
-               ~id:(Printf.sprintf "e3-%d" v)
-               ~name:"example3"
-               ~params:[ ("n", 6 + v) ]
-               (Svc.Proto.Prog Loopir.Builtin.example3);
-           ]))
-  in
-  let distinct = List.length base in
-  let corpus = List.concat (List.init reps (fun _ -> base)) in
-  let l = List.length corpus in
-  let to_line r = Pipeline.Json.to_string (Svc.Proto.request_to_json r) in
-  let lines = List.map to_line corpus in
-  let base_lines = List.map to_line base in
-  let tmp = Filename.get_temp_dir_name () in
-  let store_dir =
-    Filename.concat tmp (Printf.sprintf "recpart-bench-store-%d" (Unix.getpid ()))
-  in
-  (* a fresh store: a leftover from an earlier run must not pre-warm the
-     cold phase *)
-  if Sys.file_exists store_dir then begin
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat store_dir f))
-      (Sys.readdir store_dir);
-    Unix.rmdir store_dir
-  end;
-  let sock =
-    Filename.concat tmp (Printf.sprintf "recpart-bench-%d.sock" (Unix.getpid ()))
-  in
-  let addr = Net.Addr.Unix_sock sock in
-  let config =
-    {
-      Svc.Service.default_config with
-      domains = 4;
-      threads = 1;
-      check = false;
-      measure = false;
-      (* nominal load: every pipelined request fits, shed must be 0 *)
-      queue_capacity = (clients * l) + distinct + 8;
-      store_dir = Some store_dir;
-    }
-  in
-  (* one phase: [n] clients, each pipelining [job_lines] and then
-     draining the responses; returns wall seconds and response tallies *)
-  let run_phase ~n job_lines =
-    let oks = Array.make n 0
-    and cached = Array.make n 0
-    and shed = Array.make n 0
-    and errs = Array.make n 0 in
-    let worker i =
-      match Net.Client.connect addr with
-      | Error e -> Printf.eprintf "bench client %d: %s\n" i e
-      | Ok c ->
-          List.iter
-            (fun line ->
-              match Net.Client.send c line with
-              | Ok () -> ()
-              | Error e -> Printf.eprintf "bench client %d: %s\n" i e)
-            job_lines;
-          List.iter
-            (fun _ ->
-              match Net.Client.recv c with
-              | Error e -> Printf.eprintf "bench client %d: %s\n" i e
-              | Ok resp -> (
-                  match Pipeline.Json.parse resp with
-                  | Error _ -> errs.(i) <- errs.(i) + 1
-                  | Ok j ->
-                      let str k =
-                        match Pipeline.Json.member k j with
-                        | Some (Pipeline.Json.Str s) -> s
-                        | _ -> ""
-                      in
-                      let is_cached =
-                        match Pipeline.Json.member "cached" j with
-                        | Some (Pipeline.Json.Bool b) -> b
-                        | _ -> false
-                      in
-                      if str "status" = "ok" then begin
-                        oks.(i) <- oks.(i) + 1;
-                        if is_cached then cached.(i) <- cached.(i) + 1
-                      end
-                      else if str "kind" = "overloaded" then
-                        shed.(i) <- shed.(i) + 1
-                      else errs.(i) <- errs.(i) + 1))
-            job_lines;
-          Net.Client.close c
-    in
-    let t0 = Obs.Clock.now_ns () in
-    let threads = List.init n (fun i -> Thread.create worker i) in
-    List.iter Thread.join threads;
-    let sum a = Array.fold_left ( + ) 0 a in
-    (Obs.Clock.elapsed_s t0, sum oks, sum cached, sum shed, sum errs)
-  in
-  let counter name m =
-    Option.value ~default:0 (List.assoc_opt name m.Obs.Metrics.counters)
-  in
-  let latency ~before ~after =
-    let d = Obs.Metrics.diff ~before ~after in
-    match List.assoc_opt "svc.request.latency_us" d.Obs.Metrics.histograms with
-    | Some h ->
-        (Obs.Histogram.percentile h 0.5, Obs.Histogram.percentile h 0.99)
-    | None -> (0.0, 0.0)
-  in
-  Printf.printf
-    "corpus: %d requests/client (%d distinct keys), %d clients\n" l distinct
-    clients;
-  (* ---- process #1: cold, then memo-warm ---- *)
-  let svc = Svc.Service.create ~config () in
-  let server = Net.Server.start svc addr in
-  let m0 = Obs.Metrics.snapshot () in
-  let cold_s, cold_ok, cold_cached, cold_shed, cold_err =
-    run_phase ~n:clients lines
-  in
-  let m1 = Obs.Metrics.snapshot () in
-  let warm_s, warm_ok, warm_cached, warm_shed, warm_err =
-    run_phase ~n:clients lines
-  in
-  let m2 = Obs.Metrics.snapshot () in
-  Net.Server.stop server;
-  Svc.Service.shutdown svc;
-  (* ---- process #2: same store directory, cold memory ---- *)
-  let svc2 = Svc.Service.create ~config () in
-  let server2 = Net.Server.start svc2 addr in
-  let m3 = Obs.Metrics.snapshot () in
-  let prime_s, prime_ok, prime_cached, prime_shed, prime_err =
-    run_phase ~n:1 base_lines
-  in
-  let m4 = Obs.Metrics.snapshot () in
-  let disk_s, disk_ok, disk_cached, disk_shed, disk_err =
-    run_phase ~n:clients lines
-  in
-  let m5 = Obs.Metrics.snapshot () in
-  Net.Server.stop server2;
-  Svc.Service.shutdown svc2;
-  let store_reads = counter "svc.store.hits" m4 - counter "svc.store.hits" m3 in
-  let cold_p50, cold_p99 = latency ~before:m0 ~after:m1 in
-  let warm_p50, warm_p99 = latency ~before:m1 ~after:m2 in
-  let disk_p50, disk_p99 = latency ~before:m4 ~after:m5 in
-  let expect = clients * l in
-  let report name s ok cached shed err p50 p99 =
-    Printf.printf
-      "%-10s %7.3fs  %8.0f req/s  p50/p99 %5.0f/%5.0f us  ok=%d cached=%d \
-       shed=%d%s\n"
-      name s
-      (float_of_int ok /. s)
-      p50 p99 ok cached shed
-      (if err = 0 then "" else Printf.sprintf "  (%d errors!)" err)
-  in
-  report "cold" cold_s cold_ok cold_cached cold_shed cold_err cold_p50
-    cold_p99;
-  report "memo-warm" warm_s warm_ok warm_cached warm_shed warm_err warm_p50
-    warm_p99;
-  Printf.printf
-    "restart    (same --store-dir: %d keys primed from disk in %.3fs, \
-     cached=%d shed=%d%s)\n"
-    store_reads prime_s prime_cached prime_shed
-    (if prime_err = 0 then "" else Printf.sprintf ", %d errors!" prime_err);
-  report "disk-warm" disk_s disk_ok disk_cached disk_shed disk_err disk_p50
-    disk_p99;
-  if cold_ok <> expect || warm_ok <> expect || disk_ok <> expect then
-    Printf.printf "WARNING: expected %d ok responses per phase\n" expect;
-  let phase name ~seconds ~ok ~shed ~errors ~p50 ~p99 ~counters =
-    Pipeline.Json.Obj
-      [
-        ("program", Pipeline.Json.Str name);
-        ( "runs",
-          Pipeline.Json.List
-            [
-              Pipeline.Json.Obj
-                [
-                  ("threads", Pipeline.Json.Int clients);
-                  ("requests", Pipeline.Json.Int ok);
-                  ("errors", Pipeline.Json.Int errors);
-                  ("seconds", Pipeline.Json.Float seconds);
-                  ( "requests_per_s",
-                    Pipeline.Json.Float (float_of_int ok /. seconds) );
-                  ("latency_p50_us", Pipeline.Json.Float p50);
-                  ("latency_p99_us", Pipeline.Json.Float p99);
-                  ("shed", Pipeline.Json.Int shed);
-                  ( "metrics",
-                    Pipeline.Json.Obj
-                      [
-                        ( "counters",
-                          Pipeline.Json.Obj
-                            (List.map
-                               (fun (k, v) -> (k, Pipeline.Json.Int v))
-                               counters) );
-                      ] );
-                ];
-            ] );
-      ]
-  in
-  [
-    phase "svc-socket-cold" ~seconds:cold_s ~ok:cold_ok ~shed:cold_shed
-      ~errors:cold_err ~p50:cold_p50 ~p99:cold_p99
-      ~counters:[ ("responses", cold_ok); ("shed", cold_shed) ];
-    phase "svc-socket-warm" ~seconds:warm_s ~ok:warm_ok ~shed:warm_shed
-      ~errors:warm_err ~p50:warm_p50 ~p99:warm_p99
-      ~counters:
-        [
-          ("responses", warm_ok);
-          ("warm_hits", warm_cached);
-          ("shed", warm_shed);
-        ];
-    phase "svc-socket-disk" ~seconds:disk_s ~ok:(prime_ok + disk_ok)
-      ~shed:(prime_shed + disk_shed) ~errors:(prime_err + disk_err)
-      ~p50:disk_p50 ~p99:disk_p99
-      ~counters:
-        [
-          ("responses", prime_ok + disk_ok);
-          ("disk_warm_hits", prime_cached);
-          ("store_reads", store_reads);
-          ("warm_hits", disk_cached);
-          ("shed", prime_shed + disk_shed);
-        ];
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* E11 — analysis service throughput → BENCH_service.json               *)
-
-(* Cold vs warm cache over a duplicate-heavy corpus, per domain count.
-   Timings are recorded as plain fields (they are machine-dependent);
-   only the deterministic facts — request count and warm-cache hits —
-   go into the gate-checked "metrics"/"counters" block, so a committed
-   BENCH_service.json baseline gates cache behavior, not wall time. *)
-let service_bench () =
-  section "E11 / analysis service: BENCH_service.json (cold vs warm cache)";
-  let copies = if quick then 8 else 25 in
-  let base =
-    [
-      ("example1", Loopir.Builtin.example1, [ ("n1", 12); ("n2", 16) ]);
-      ("fig2", Loopir.Builtin.fig2, []);
-      ("example2", Loopir.Builtin.example2, [ ("n", 16) ]);
-      ("example3", Loopir.Builtin.example3, [ ("n", 10) ]);
-    ]
-  in
-  let corpus =
-    List.concat
-      (List.init copies (fun k ->
-           List.map
-             (fun (name, prog, params) ->
-               Svc.Proto.request
-                 ~id:(Printf.sprintf "%s#%d" name k)
-                 ~name ~params (Svc.Proto.Prog prog))
-             base))
-  in
-  let n = List.length corpus in
-  Printf.printf "corpus: %d requests over %d distinct nests\n" n
-    (List.length base);
-  Printf.printf
-    "domains   cold s  cold req/s    warm s  warm req/s  speedup  warm hits\n";
-  let runs =
-    List.map
-      (fun domains ->
-        let config =
-          {
-            Svc.Service.default_config with
-            domains;
-            threads = 1;
-            check = false;
-            measure = false;
-            cache_capacity = 64;
-          }
-        in
-        (* cold-run isolation: the latency histograms and cache/memo
-           counters must reflect only this domain count's passes *)
-        Obs.Metrics.reset_all ();
-        let svc = Svc.Service.create ~config () in
-        let time f =
-          let t0 = Obs.Clock.now_ns () in
-          let r = f () in
-          (Obs.Clock.elapsed_s t0, r)
-        in
-        let cold_s, cold = time (fun () -> Svc.Service.batch svc corpus) in
-        let mid = Svc.Service.cache_stats svc in
-        let mid_m = Obs.Metrics.snapshot () in
-        let warm_s, warm = time (fun () -> Svc.Service.batch svc corpus) in
-        let stop = Svc.Service.cache_stats svc in
-        let warm_m =
-          Obs.Metrics.diff ~before:mid_m ~after:(Obs.Metrics.snapshot ())
-        in
-        (* more warm passes with the flight recorder on vs off, to expose
-           the always-on telemetry overhead (plain info, not gated); one
-           warm pass is ~1ms of mostly pool-wakeup jitter, so amplify to
-           a 4x corpus, alternate on/off within each round so machine
-           drift hits both arms equally, and take the best of 10 *)
-        let big = corpus @ corpus @ corpus @ corpus in
-        (* Batch wall time is pool-wakeup-jitter heavy, so a min-of-N
-           per arm still swings several percent run to run.  Instead:
-           in each round run both arms back to back (order swapped every
-           round so neither arm always pays the first-position penalty)
-           and keep the round's on/off ratio — adjacent-in-time pairs
-           cancel machine drift, and the median over rounds discards the
-           jitter tails that a min cannot. *)
-        let rounds = 21 in
-        let reps = 5 in
-        let on_s = ref infinity and off_s = ref infinity in
-        let arm cell setup =
-          setup ();
-          let s =
-            fst
-              (time (fun () ->
-                   for _ = 1 to reps do
-                     ignore (Svc.Service.batch svc big)
-                   done))
-            /. float_of_int reps
-          in
-          cell := min !cell s;
-          s
-        in
-        let on () = arm on_s (fun () -> Obs.Flight.enable ()) in
-        let off () = arm off_s (fun () -> Obs.Flight.disable ()) in
-        let ratios =
-          List.init rounds (fun i ->
-              if i land 1 = 0 then
-                let a = on () in
-                let b = off () in
-                a /. b
-              else
-                let b = off () in
-                let a = on () in
-                a /. b)
-        in
-        let median =
-          List.nth (List.sort compare ratios) (rounds / 2)
-        in
-        let on_s = !on_s and off_s = !off_s in
-        Obs.Flight.enable ();
-        Svc.Service.shutdown svc;
-        let lat_p50, lat_p99 =
-          match
-            List.assoc_opt "svc.request.latency_us"
-              warm_m.Obs.Metrics.histograms
-          with
-          | Some h ->
-              ( Obs.Histogram.percentile h 0.5,
-                Obs.Histogram.percentile h 0.99 )
-          | None -> (0.0, 0.0)
-        in
-        let flight_overhead_pct = (median -. 1.0) *. 100.0 in
-        let errors =
-          List.length
-            (List.filter (fun r -> not (Svc.Proto.ok r)) (cold @ warm))
-        in
-        let warm_hits = stop.Numeric.Lru.hits - mid.Numeric.Lru.hits in
-        Printf.printf
-          "   %d     %7.3f  %10.0f   %7.3f  %10.0f   %5.1fx   %d/%d%s\n"
-          domains cold_s
-          (float_of_int n /. cold_s)
-          warm_s
-          (float_of_int n /. warm_s)
-          (cold_s /. warm_s) warm_hits n
-          (if errors = 0 then "" else Printf.sprintf "  (%d errors!)" errors);
-        Printf.printf
-          "          warm latency p50/p99 = %.0f/%.0f us; flight on/off \
-           best: %.0f/%.0f req/s (median overhead %+.1f%%)\n"
-          lat_p50 lat_p99
-          (float_of_int (4 * n) /. on_s)
-          (float_of_int (4 * n) /. off_s)
-          flight_overhead_pct;
-        Pipeline.Json.Obj
-          [
-            ("threads", Pipeline.Json.Int domains);
-            ("requests", Pipeline.Json.Int n);
-            ("errors", Pipeline.Json.Int errors);
-            ("cold_seconds", Pipeline.Json.Float cold_s);
-            ("warm_seconds", Pipeline.Json.Float warm_s);
-            ("warm_latency_p50_us", Pipeline.Json.Float lat_p50);
-            ("warm_latency_p99_us", Pipeline.Json.Float lat_p99);
-            ("warm_flight_on_seconds", Pipeline.Json.Float on_s);
-            ("warm_flight_off_seconds", Pipeline.Json.Float off_s);
-            ("flight_overhead_pct", Pipeline.Json.Float flight_overhead_pct);
-            ( "cold_requests_per_s",
-              Pipeline.Json.Float (float_of_int n /. cold_s) );
-            ( "warm_requests_per_s",
-              Pipeline.Json.Float (float_of_int n /. warm_s) );
-            ("warm_speedup", Pipeline.Json.Float (cold_s /. warm_s));
-            ( "metrics",
-              Pipeline.Json.Obj
-                [
-                  ( "counters",
-                    Pipeline.Json.Obj
-                      [
-                        ("requests", Pipeline.Json.Int n);
-                        ("warm_hits", Pipeline.Json.Int warm_hits);
-                      ] );
-                ] );
-          ])
-      [ 1; 2; 4 ]
-  in
-  let socket_entries = socket_bench () in
-  (* schema v2: the svc-batch entry plus the E15 socket-service entries
-     (cold / memo-warm / disk-warm phases as separate programs so the
-     gate keys stay unique) *)
-  let doc =
-    Pipeline.Json.Obj
-      [
-        ("schema_version", Pipeline.Json.Int 2);
-        ( "entries",
-          Pipeline.Json.List
-            (Pipeline.Json.Obj
-               [
-                 ("program", Pipeline.Json.Str "svc-batch");
-                 ("runs", Pipeline.Json.List runs);
-               ]
-            :: socket_entries) );
-      ]
-  in
-  let oc = open_out "BENCH_service.json" in
-  output_string oc (Pipeline.Json.to_string_pretty doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote BENCH_service.json\n";
-  doc
-
-(* ------------------------------------------------------------------ *)
-(* E12 — execution engines → BENCH_exec.json                            *)
-
-(* Compiled vs interpreted execution of the same REC schedule (example1)
-   on 1/2/4 domains, a whole-corpus t=1 sweep of the compiled engine, and
-   the per-barrier idle of cost chunking on coupled_stretch.  Wall times
-   are machine-dependent and stay plain fields; the deterministic facts —
-   instance and kernel counts, semantic equivalence — go under
-   "metrics"/"counters" where the gate checks them, next to the idle
-   percentages.  Each configuration is run [reps] times and the fastest
-   execute time (or the median idle) is kept: the comparison is about the
-   engine, not scheduler jitter. *)
-let exec_bench () =
-  section "E12 / execution engines: BENCH_exec.json (compiled vs interp)";
-  let sc = if quick then 1 else 2 in
-  let prog = Loopir.Builtin.example1 in
-  let params = [ ("n1", 30 * sc); ("n2", 50 * sc) ] in
-  let reps = if quick then 3 else 5 in
-  let thread_counts = [ 1; 2; 4 ] in
-  let run_one ~engine ~threads =
-    let best = ref None in
-    for _ = 1 to reps do
-      let options =
-        { Pipeline.Driver.default_options with threads; exec_engine = engine }
-      in
-      match Pipeline.Driver.run ~options ~name:"example1" ~params prog with
-      | Error e ->
-          failwith
-            (Printf.sprintf "E12 %s t=%d: %s"
-               (Runtime.Exec.engine_name engine)
-               threads
-               (Pipeline.Driver.error_to_string e))
-      | Ok o -> (
-          let r = o.Pipeline.Driver.report in
-          let s =
-            Option.value r.Pipeline.Report.par_seconds ~default:infinity
-          in
-          match !best with
-          | Some (s0, _) when s0 <= s -> ()
-          | _ -> best := Some (s, r))
-    done;
-    match !best with Some (_, r) -> r | None -> assert false
-  in
-  let runs =
-    List.map
-      (fun engine ->
-        ( engine,
-          List.map (fun t -> (t, run_one ~engine ~threads:t)) thread_counts ))
-      [ `Compiled; `Interp ]
-  in
-  let exec_s (r : Pipeline.Report.t) =
-    Option.value r.Pipeline.Report.par_seconds ~default:nan
-  in
-  let phase_alloc (r : Pipeline.Report.t) =
-    List.fold_left
-      (fun acc (p : Pipeline.Report.phase_profile) ->
-        acc +. p.Pipeline.Report.alloc_words)
-      0.0 r.Pipeline.Report.phases
-  in
-  let interp_of t = exec_s (List.assoc t (List.assoc `Interp runs)) in
-  let compiled_of t = exec_s (List.assoc t (List.assoc `Compiled runs)) in
-  Printf.printf
-    "engine    threads  execute s  vs interp  vs compiled  phase alloc \
-     words  semantics\n";
-  List.iter
-    (fun (engine, per_t) ->
-      List.iter
-        (fun (t, r) ->
-          Printf.printf "%-8s     %d     %9.6f    %5.2fx      %5.2fx  %17.0f  %s\n"
-            (Runtime.Exec.engine_name engine)
-            t (exec_s r)
-            (interp_of t /. exec_s r)
-            (compiled_of t /. exec_s r)
-            (phase_alloc r)
-            (Pipeline.Report.check_result_string r.Pipeline.Report.semantics))
-        per_t)
-    runs;
-  let entries =
-    List.map
-      (fun (engine, per_t) ->
-        Pipeline.Json.Obj
-          [
-            ( "program",
-              Pipeline.Json.Str
-                ("example1/" ^ Runtime.Exec.engine_name engine) );
-            ( "params",
-              Pipeline.Json.Obj
-                (List.map (fun (k, v) -> (k, Pipeline.Json.Int v)) params) );
-            ( "runs",
-              Pipeline.Json.List
-                (List.map
-                   (fun (t, r) ->
-                     let open Pipeline in
-                     Json.Obj
-                       [
-                         ("threads", Json.Int t);
-                         ("exec_seconds", Json.Float (exec_s r));
-                         ( "seq_seconds",
-                           match r.Report.seq_seconds with
-                           | Some s -> Json.Float s
-                           | None -> Json.Null );
-                         ( "speedup_vs_interp",
-                           Json.Float (interp_of t /. exec_s r) );
-                         ( "speedup_vs_compiled",
-                           Json.Float (compiled_of t /. exec_s r) );
-                         ( "semantics",
-                           Json.Str
-                             (Report.check_result_string r.Report.semantics)
-                         );
-                         ("phase_profile", phase_profile_json r);
-                         (* caller-domain allocation share is scheduling
-                            dependent under work stealing at t>1, so it is
-                            reported as a plain field, not a gated counter *)
-                         ( "phase_alloc_words",
-                           Json.Int (int_of_float (phase_alloc r)) );
-                         ( "metrics",
-                           Json.Obj
-                             [
-                               ( "counters",
-                                 Json.Obj
-                                   ([
-                                      ( "instances",
-                                        Json.Int
-                                          (Option.value r.Report.n_instances
-                                             ~default:0) );
-                                      ( "semantics_ok",
-                                        Json.Int
-                                          (if
-                                             Report.check_result_string
-                                               r.Report.semantics
-                                             = "ok"
-                                           then 1
-                                           else 0) );
-                                    ]) );
-                             ] );
-                       ])
-                   per_t) );
-          ])
-      runs
-  in
-  (* --- whole-corpus t=1 compiled sweep ------------------------------- *)
-  (* Large enough that the summed t=1 wall resolves well above timer noise
-     on a loaded box (at 32 the ~1ms total is noise-dominated and the
-     per-instance engines are within noise of each other). *)
-  let corpus_v = if quick then 64 else 96 in
-  let kernels =
-    List.map
-      (fun (name, prog) ->
-        let params =
-          List.map (fun p -> (p, corpus_v)) prog.Loopir.Ast.params
-        in
-        let env = Runtime.Interp.prepare prog ~params in
-        let tr = Depend.Trace.build prog ~params in
-        let sched = Sched.sequential_of_trace tr in
-        let oracle = Runtime.Interp.run_sequential env in
-        (name, env, sched, oracle))
-      Loopir.Builtin.corpus
-  in
-  (* Sum of per-kernel best-of-reps walls; store equality against the
-     oracle checked on rep 1. *)
-  let corpus_reps = max reps 5 in
-  (* The earlier sections leave a large major heap behind; compact once so
-     stray GC slices don't land inside the timed walls. *)
-  Gc.compact ();
-  let compiled_ok = ref 0 in
-  let compiled_total = ref 0.0 in
-  List.iter
-    (fun (_, env, sched, oracle) ->
-      let best = ref infinity in
-      for rep = 1 to corpus_reps do
-        let tc = Runtime.Exec.run_timed ~engine:`Compiled env ~threads:1 sched in
-        if rep = 1 && Runtime.Arrays.equal tc.Runtime.Exec.store oracle then
-          incr compiled_ok;
-        best := Float.min !best tc.Runtime.Exec.seconds
-      done;
-      compiled_total := !compiled_total +. !best)
-    kernels;
-  let compiled_total, compiled_ok = (!compiled_total, !compiled_ok) in
-  let n_kernels = List.length kernels in
-  Printf.printf "corpus t=1 (%d kernels, params=%d): compiled %.4fs\n"
-    n_kernels corpus_v compiled_total;
-  let corpus_entry =
-    let open Pipeline in
-    Json.Obj
-      [
-        ("program", Json.Str "corpus-t1/compiled");
-        ("params", Json.Obj [ ("value", Json.Int corpus_v) ]);
-        ( "runs",
-          Json.List
-            [
-              Json.Obj
-                [
-                  ("threads", Json.Int 1);
-                  ("compiled_seconds", Json.Float compiled_total);
-                  ( "metrics",
-                    Json.Obj
-                      [
-                        ( "counters",
-                          Json.Obj
-                            [
-                              ("kernels", Json.Int n_kernels);
-                              ("semantics_ok", Json.Int compiled_ok);
-                            ] );
-                      ] );
-                ];
-            ] );
-      ]
-  in
-  (* --- chunking idle on coupled_stretch at t=4 ----------------------- *)
-  let stretch = List.assoc "coupled_stretch" Loopir.Builtin.corpus in
-  let stretch_n = 200_000 in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let p1 = ref [] and p3 = ref [] and walls = ref [] in
-  for _ = 1 to reps do
-    let options =
-      { Pipeline.Driver.default_options with threads = 4; check = false }
-    in
-    match
-      Pipeline.Driver.run ~options ~name:"coupled_stretch"
-        ~params:[ ("n", stretch_n) ] stretch
-    with
-    | Error e ->
-        failwith
-          (Printf.sprintf "E12 coupled_stretch: %s"
-             (Pipeline.Driver.error_to_string e))
-    | Ok o ->
-        let r = o.Pipeline.Driver.report in
-        (match r.Pipeline.Report.balance with
-        | Some b ->
-            let idle lbl =
-              match List.assoc_opt lbl b.Pipeline.Report.per_phase_idle with
-              | Some f -> 100.0 *. f
-              | None -> 0.0
-            in
-            p1 := idle "P1" :: !p1;
-            p3 := idle "P3" :: !p3
-        | None -> ());
-        walls :=
-          Option.value r.Pipeline.Report.par_seconds ~default:nan :: !walls
-  done;
-  let p1, p3, wall = (median !p1, median !p3, median !walls) in
-  Printf.printf
-    "coupled_stretch n=%d t=4 (median of %d): cost idle P1 %.1f%% P3 %.1f%%\n"
-    stretch_n reps p1 p3;
-  let idle_entry =
-    let open Pipeline in
-    Json.Obj
-      [
-        ("program", Json.Str "coupled_stretch/cost");
-        ("params", Json.Obj [ ("n", Json.Int stretch_n) ]);
-        ( "runs",
-          Json.List
-            [
-              Json.Obj
-                [
-                  ("threads", Json.Int 4);
-                  ("exec_seconds", Json.Float wall);
-                  ("p1_idle_pct_median", Json.Float p1);
-                  ("p3_idle_pct_median", Json.Float p3);
-                  ( "metrics",
-                    Json.Obj
-                      [
-                        ( "counters",
-                          Json.Obj
-                            [
-                              ("p1_idle_pct", Json.Int (int_of_float p1));
-                              ("p3_idle_pct", Json.Int (int_of_float p3));
-                            ] );
-                      ] );
-                ];
-            ] );
-      ]
-  in
-  let entries = entries @ [ corpus_entry; idle_entry ] in
-  let doc =
-    Pipeline.Json.Obj
-      [
-        ("schema_version", Pipeline.Json.Int 1);
-        ("entries", Pipeline.Json.List entries);
-      ]
-  in
-  let oc = open_out "BENCH_exec.json" in
-  output_string oc (Pipeline.Json.to_string_pretty doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote BENCH_exec.json\n";
-  doc
-
-(* ------------------------------------------------------------------ *)
 (* Regression gate: --baseline FILE [--gate PCT]                        *)
 
 let read_file path =
@@ -1812,112 +1079,11 @@ let run_gate ~current = function
           print_string (Pipeline.Gate.to_text ~threshold_pct outcome);
           outcome.Pipeline.Gate.regressions = [])
 
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (bechamel)                                          *)
-
-let micro () =
-  section "micro-benchmarks (bechamel, estimated time per run)";
-  let open Bechamel in
-  let open Toolkit in
-  let pugh_poly =
-    let ge coef const =
-      Presburger.Constr.Ge (Presburger.Linexpr.make (Array.of_list coef) const)
-    in
-    Presburger.Poly.make 2
-      [ ge [ 11; 13 ] (-27); ge [ -11; -13 ] 45; ge [ 7; -9 ] 10; ge [ -7; 9 ] 4 ]
-  in
-  let tests =
-    [
-      Test.make ~name:"E1: solve Rd (example1)"
-        (Staged.stage (fun () ->
-             ignore (Solve.analyze_simple Loopir.Builtin.example1)));
-      Test.make ~name:"omega: Pugh dark-shadow emptiness"
-        (Staged.stage (fun () -> ignore (Presburger.Omega.is_empty pugh_poly)));
-      Test.make ~name:"E2: three-set partition (fig2)"
-        (Staged.stage (fun () ->
-             let a = Solve.analyze_simple Loopir.Builtin.fig2 in
-             ignore (Threeset.compute ~phi:a.Solve.phi ~rd:a.Solve.rd)));
-      Test.make ~name:"E3: materialize REC (ex1, 30x40)"
-        (Staged.stage (fun () ->
-             let rp = Lazy.force ex1_plan in
-             ignore (Partition.materialize_rec_scan rp ~params:[| 30; 40 |])));
-      Test.make ~name:"E4: REC+chains (ex2, n=64)"
-        (Staged.stage (fun () ->
-             match Partition.choose Loopir.Builtin.example2 with
-             | Partition.Rec_chains rp ->
-                 ignore (Partition.materialize_rec_scan rp ~params:[| 64 |])
-             | _ -> ()));
-      Test.make ~name:"E5: unified Rd + three sets (ex3)"
-        (Staged.stage (fun () ->
-             let u = Solve.analyze_unified Loopir.Builtin.example3 in
-             ignore (Threeset.compute ~phi:u.Solve.uphi ~rd:u.Solve.urd)));
-      Test.make ~name:"E6: trace+levels (cholesky small)"
-        (Staged.stage (fun () ->
-             ignore
-               (Dataflow.peel_concrete Loopir.Builtin.cholesky
-                  ~params:[ ("nmat", 4); ("m", 2); ("n", 8); ("nrhs", 1) ])));
-      Test.make ~name:"E7: PDM cosets (ex1, 60x60)"
-        (Staged.stage (fun () ->
-             let rp = Lazy.force ex1_plan in
-             let a = rp.Partition.simple in
-             let pdm = Baselines.Pdm.of_simple a ~params:[| 60; 60 |] in
-             let pts =
-               Depend.Scan.iter_space a.Solve.stmt
-                 ~params:[ ("n1", 60); ("n2", 60) ]
-             in
-             ignore (Baselines.Pdm.cosets pdm pts)));
-      Test.make ~name:"codegen: REC listing (ex1)"
-        (Staged.stage (fun () ->
-             ignore (Codegen.Emit.rec_partitioning (Lazy.force ex1_plan))));
-      Test.make ~name:"parser: cholesky source"
-        (Staged.stage (fun () ->
-             ignore
-               (Loopir.Parser.parse ~name:"c"
-                  (Loopir.Pretty.program_to_string Loopir.Builtin.cholesky))));
-    ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second (if quick then 0.25 else 0.5))
-      ~kde:None ()
-  in
-  let raw =
-    Benchmark.all cfg
-      [ Instance.monotonic_clock ]
-      (Test.make_grouped ~name:"recpart" tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name res acc ->
-        match Analyze.OLS.estimates res with
-        | Some (est :: _) -> (name, est) :: acc
-        | _ -> (name, nan) :: acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, ns) ->
-      if ns >= 1e9 then Printf.printf "  %-44s %10.2f s\n" name (ns /. 1e9)
-      else if ns >= 1e6 then Printf.printf "  %-44s %10.2f ms\n" name (ns /. 1e6)
-      else if ns >= 1e3 then Printf.printf "  %-44s %10.2f us\n" name (ns /. 1e3)
-      else Printf.printf "  %-44s %10.0f ns\n" name ns)
-    rows
-
 let () =
   Printf.printf "recurrence-chain partitioning — evaluation harness%s\n"
     (if quick then " [--quick]" else " (paper parameters)");
   let baseline =
     Option.map (fun p -> (p, read_file p)) (argv_value "--baseline")
-  in
-  let service_baseline =
-    Option.map (fun p -> (p, read_file p)) (argv_value "--service-baseline")
-  in
-  let exec_baseline =
-    Option.map (fun p -> (p, read_file p)) (argv_value "--exec-baseline")
   in
   fig1 ();
   fig2 ();
@@ -1930,13 +1096,6 @@ let () =
   corpus ();
   ablation ();
   let current = pipeline_json () in
-  let service_current = service_bench () in
-  let exec_current = exec_bench () in
-  micro ();
   let gate_ok = run_gate ~current baseline in
-  let service_gate_ok =
-    run_gate ~current:service_current service_baseline
-  in
-  let exec_gate_ok = run_gate ~current:exec_current exec_baseline in
   print_endline "\nall sections completed.";
-  if not (gate_ok && service_gate_ok && exec_gate_ok) then exit 1
+  if not gate_ok then exit 1

@@ -49,13 +49,10 @@ val materialize_rec_scan : rec_plan -> params:int array -> concrete_rec
     {!Diag.Error} like {!materialize_rec}. *)
 
 val materialize :
-  ?engine:[ `Enum | `Scan ] ->
-  rec_plan ->
-  params:int array ->
-  (concrete_rec, Diag.error) result
-(** Result-based materialization — the pipeline entry point.  [`Scan]
-    (default) is {!materialize_rec_scan}, [`Enum] is {!materialize_rec};
-    {!Diag.Error} and symbolic blowups are threaded as [Error]. *)
+  rec_plan -> params:int array -> (concrete_rec, Diag.error) result
+(** Result-based {!materialize_rec_scan} — the pipeline entry point;
+    {!Diag.Error} and symbolic blowups are threaded as [Error].
+    {!materialize_rec} stays as the test oracle it is compared with. *)
 
 val rec_points_in_order : concrete_rec -> Linalg.Ivec.t list
 (** Every iteration exactly once, in a legal execution order

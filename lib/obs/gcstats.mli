@@ -1,15 +1,14 @@
 (** GC/runtime telemetry: cheap [Gc.quick_stat] snapshots and deltas.
 
     The pipeline driver snapshots around every stage so reports can show
-    which stage allocated and collected how much; the executor snapshots
-    inside each worker domain so per-domain allocation shows up next to
-    per-domain busy time.
+    which stage allocated and collected how much.
 
-    On OCaml 5 the word counters of [Gc.quick_stat] are exact for the
-    calling domain and may lag slightly for others, while collection
-    counts are process-global — deltas taken on one domain are therefore
-    that domain's allocation plus whatever the others published, which is
-    the right reading for both uses above. *)
+    On OCaml 5.1 the word counters of [Gc.quick_stat] move only at a
+    minor collection, so a delta over a region shorter than one minor
+    heap reads 0 or a whole minor heap; collection counts are
+    process-global.  Per-phase allocation in the executor therefore uses
+    a [Gc.minor_words] delta instead, which is exact and local to the
+    domain. *)
 
 type t = {
   minor_words : float;  (** words allocated in the minor heap *)

@@ -167,7 +167,6 @@ type options = {
   check : bool;
   measure : bool;
   strategy : Plan.strategy option;
-  engine : [ `Enum | `Scan ];
   exec_engine : Runtime.Exec.engine;
   workers : Runtime.Workers.t option;
   sim_cost : Runtime.Sim.cost option;
@@ -181,7 +180,6 @@ let default_options =
     check = true;
     measure = true;
     strategy = None;
-    engine = `Scan;
     exec_engine = `Compiled;
     workers = None;
     sim_cost = None;
@@ -212,22 +210,6 @@ let with_pool options f =
           Fun.protect
             ~finally:(fun () -> Runtime.Workers.shutdown pool)
             (fun () -> f (Some pool)))
-
-(* The engine option only affects REC materialization; route it through
-   [Core.Partition.materialize] by re-dispatching here. *)
-let materialize_with ~engine plan ~prog ~params =
-  match plan with
-  | Plan.Rec_chains rp ->
-      guarded (fun () ->
-          check_params prog ~params;
-          let arr =
-            param_array ~names:rp.Core.Partition.simple.Depend.Solve.params
-              ~params
-          in
-          match Core.Partition.materialize ~engine rp ~params:arr with
-          | Ok c -> Rec { rp; c }
-          | Error e -> Diag.fail e)
-  | _ -> materialize plan ~prog ~params
 
 let run ?(options = default_options) ~name ~params prog =
   if options.threads <= 0 then
@@ -277,8 +259,7 @@ let run ?(options = default_options) ~name ~params prog =
     in
     let* concrete =
       at Diag.Materialize
-        (timed "materialize" (fun () ->
-             materialize_with ~engine:options.engine plan ~prog ~params))
+        (timed "materialize" (fun () -> materialize plan ~prog ~params))
     in
     let sched =
       match concrete with

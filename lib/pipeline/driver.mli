@@ -71,7 +71,6 @@ type options = {
   check : bool;  (** verify legality + sequential equivalence *)
   measure : bool;  (** measure seq/parallel wall time *)
   strategy : Plan.strategy option;  (** [None] = Algorithm 1 selection *)
-  engine : [ `Enum | `Scan ];  (** REC materialization engine *)
   exec_engine : Runtime.Exec.engine;
       (** schedule execution engine: [`Compiled] (default) runs closure-
           compiled kernels, [`Interp] the AST-walking interpreter (the
@@ -98,7 +97,7 @@ type options = {
 }
 
 val default_options : options
-(** 4 threads, check and measure on, automatic strategy, scan engine,
+(** 4 threads, check and measure on, automatic strategy, compiled engine,
     no-op sink, no-op event log. *)
 
 type outcome = {

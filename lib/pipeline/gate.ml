@@ -10,12 +10,9 @@ type regression = {
 type outcome = { regressions : regression list; compared : int }
 
 let entries = function
-  | Json.List l -> Ok l
   | Json.Obj _ as doc -> (
       match Json.member "schema_version" doc with
-      (* v2 added the analyze (memoization) section; entries are
-         backward-compatible, so both versions read the same way. *)
-      | Some (Json.Int (1 | 2)) -> (
+      | Some (Json.Int 2) -> (
           match Json.member "entries" doc with
           | Some (Json.List l) -> Ok l
           | Some _ -> Error "bench document: \"entries\" is not a list"
@@ -25,7 +22,7 @@ let entries = function
             (Printf.sprintf "bench document: unsupported schema_version %s"
                (Json.to_string v))
       | None -> Error "bench document: object without \"schema_version\"")
-  | _ -> Error "bench document: expected an object or a list"
+  | _ -> Error "bench document: expected an object"
 
 let str_member k j =
   match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
@@ -77,8 +74,11 @@ let index_runs entry_list =
       | _ -> [])
     entry_list
 
-let check ?(min_seconds = 0.05) ?(min_count = 16) ~threshold_pct ~baseline
-    ~current () =
+(* Noise floors: below these in both documents a value is never flagged. *)
+let min_seconds = 0.05
+let min_count = 16.0
+
+let check ~threshold_pct ~baseline ~current () =
   match (entries baseline, entries current) with
   | Error e, _ -> Error ("baseline: " ^ e)
   | _, Error e -> Error ("current: " ^ e)
@@ -127,7 +127,7 @@ let check ?(min_seconds = 0.05) ?(min_count = 16) ~threshold_pct ~baseline
                   | None -> ()
                   | Some cur ->
                       flag key ("counter:" ^ counter) ~base ~cur
-                        ~floor:(float_of_int min_count))
+                        ~floor:min_count)
                 base_counters)
         base_idx;
       Ok { regressions = List.rev !regressions; compared = !compared }

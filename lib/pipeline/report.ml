@@ -209,7 +209,7 @@ let to_text r =
   | None -> ());
   List.iter
     (fun p ->
-      line "  phase %-12s %7d inst %5d unit(s) %.4fs  %.0f alloc words"
+      line "  phase %-12s %7d inst %5d unit(s) %.4fs  %.0f minor words"
         p.label p.instances p.units p.seconds p.alloc_words)
     r.phases;
   (match r.balance with

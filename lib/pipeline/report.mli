@@ -32,8 +32,9 @@ type phase_profile = {
           [threads × seconds] is barrier idle — also the work-time input
           {!Runtime.Sim.calibrate} fits [w_iter] from *)
   alloc_words : float;
-      (** words allocated across all domains while executing the phase
-          (sum of the executor's per-domain {!Runtime.Exec} deltas) *)
+      (** minor-heap words allocated across all domains while executing
+          the phase (sum of the executor's per-domain {!Runtime.Exec}
+          deltas) *)
 }
 
 type phase_prediction = {

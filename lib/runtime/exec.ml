@@ -80,14 +80,16 @@ let chunks_of_phase ~cost ~threads phase sizes =
 (* ---- instrumented chunk execution ------------------------------------ *)
 
 (* Runs the chunks [iter_chunks] yields to this domain and returns the
-   seconds it was busy, the words it allocated (the GC delta is taken
-   inside the executing domain, so on OCaml 5 the counters are exact for
-   this domain's work) and the instances it executed.  With a recording
+   seconds it was busy, the minor-heap words it allocated and the
+   instances it executed.  The allocation is a [Gc.minor_words] delta
+   taken on the executing domain: on OCaml 5 that counter is local to
+   the domain and exact, where [Gc.quick_stat]'s moves only at a minor
+   collection, and reading it allocates nothing.  With a recording
    sink each chunk gets a span carrying the per-chunk sample
    {!Obs.Critpath} consumes: [("phase", label)], [(kind, id)] and
    [("len", points)]. *)
 let run_chunks ~sink ~label ~kind runner iter_chunks =
-  let gc0 = Obs.Gcstats.quick () in
+  let w0 = Gc.minor_words () in
   let t0 = Obs.Clock.now_ns () in
   let load = ref 0 in
   if not (Obs.Sink.enabled sink) then
@@ -115,10 +117,7 @@ let run_chunks ~sink ~label ~kind runner iter_chunks =
                 (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) s0))
             end));
   let busy = Obs.Clock.elapsed_s t0 in
-  let words =
-    Obs.Gcstats.(allocated_words (diff ~before:gc0 ~after:(quick ())))
-  in
-  (busy, words, !load)
+  (busy, Gc.minor_words () -. w0, !load)
 
 (* The single execution path: every phase — sequential or parallel,
    either engine — goes through here, so instrumentation (per-phase wall

@@ -59,9 +59,9 @@ type phase_stat = {
       (** seconds each domain spent executing its chunks, aligned with
           [loads]; the gap to [seconds] is barrier idle time *)
   alloc : float array;
-      (** words each domain allocated while executing its chunks
-          ({!Obs.Gcstats} delta taken inside the domain), aligned with
-          [busy] *)
+      (** minor-heap words each domain allocated while executing its
+          chunks (a [Gc.minor_words] delta taken on that domain), aligned
+          with [busy] *)
   seconds : float;  (** wall time of the phase, barrier included *)
 }
 

@@ -52,7 +52,7 @@ let test_scan_vs_enum_ex2 () =
       Alcotest.(check bool)
         (Printf.sprintf "n=%d identical" n)
         true (same_concrete a b))
-    [ 8; 12; 25 ]
+    [ 8; 10; 12; 25 ]
 
 let test_scan_iter_space () =
   (* Triangular nest: scan order and content match the exact enumerator. *)

@@ -290,32 +290,52 @@ let test_server_drain () =
           Alcotest.fail "listener still accepting after drain");
       Client.close c)
 
+(* Four clients pipeline the same 12 distinct requests, twice.  The
+   queue (capacity 64) holds all 48 in flight, so nothing sheds: a shed
+   line would answer [overloaded], not ok.  The first pass answers every
+   line ok; on the replay, every line is a cache hit. *)
 let test_server_concurrent_clients () =
   with_server (fun _server addr ->
       let per_client = 12 and clients = 4 in
-      let oks = Array.make clients 0 in
-      let worker i =
-        let c = Result.get_ok (Client.connect addr) in
-        for j = 1 to per_client do
-          Result.get_ok
-            (Client.send c (req_line ~id:(Printf.sprintf "q%d" j) ~n:(j + 1) ()))
-        done;
-        for _ = 1 to per_client do
-          let r = parse_line (Result.get_ok (Client.recv c)) in
-          if get_str "status" r = "ok" then oks.(i) <- oks.(i) + 1
-        done;
-        Client.close c
+      let pass () =
+        let ok = Array.make clients 0 and cached = Array.make clients 0 in
+        let worker i =
+          let c = Result.get_ok (Client.connect addr) in
+          for j = 1 to per_client do
+            Result.get_ok
+              (Client.send c
+                 (req_line ~id:(Printf.sprintf "q%d" j) ~n:(j + 1) ()))
+          done;
+          for _ = 1 to per_client do
+            let r = parse_line (Result.get_ok (Client.recv c)) in
+            if get_str "status" r = "ok" then begin
+              ok.(i) <- ok.(i) + 1;
+              if get_bool "cached" r then cached.(i) <- cached.(i) + 1
+            end
+          done;
+          Client.close c
+        in
+        let threads = List.init clients (fun i -> Thread.create worker i) in
+        List.iter Thread.join threads;
+        (ok, Array.fold_left ( + ) 0 cached)
       in
-      let threads = List.init clients (fun i -> Thread.create worker i) in
-      List.iter Thread.join threads;
-      Array.iteri
-        (fun i n ->
-          Alcotest.(check int)
-            (Printf.sprintf "client %d: every request answered ok" i)
-            per_client n)
-        oks;
-      (* every client got every response; cross-client duplicates hit
-         the shared cache *)
+      let check_pass name (ok, _) =
+        Array.iteri
+          (fun i n ->
+            Alcotest.(check int)
+              (Printf.sprintf
+                 "%s: client %d: every request answered ok, none shed" name i)
+              per_client n)
+          ok
+      in
+      let cold = pass () in
+      check_pass "cold" cold;
+      let warm = pass () in
+      check_pass "warm" warm;
+      let _, warm_cached = warm in
+      Alcotest.(check int) "warm replay: every response cached"
+        (clients * per_client) warm_cached;
+      (* cross-client duplicates hit the one shared cache *)
       let stats = Obs.Metrics.snapshot () in
       let counter name =
         Option.value ~default:0 (List.assoc_opt name stats.Obs.Metrics.counters)

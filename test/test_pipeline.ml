@@ -586,7 +586,7 @@ let test_driver_threads_events_option () =
 module Gate = Pipeline.Gate
 
 (* A synthetic bench document: one program, one run at 4 threads. *)
-let bench_doc ?(wrap = true) ~execute_s ~classify_s ~counter () =
+let bench_doc ~execute_s ~classify_s ~counter () =
   let entry =
     Json.Obj
       [
@@ -611,10 +611,7 @@ let bench_doc ?(wrap = true) ~execute_s ~classify_s ~counter () =
             ] );
       ]
   in
-  if wrap then
-    Json.Obj
-      [ ("schema_version", Json.Int 1); ("entries", Json.List [ entry ]) ]
-  else Json.List [ entry ]
+  Json.Obj [ ("schema_version", Json.Int 2); ("entries", Json.List [ entry ]) ]
 
 let test_gate_flags_slowed_stage () =
   (* The acceptance criterion: an artificially slowed stage (well above
@@ -662,16 +659,23 @@ let test_gate_passes_identity_and_noise () =
   | Error m -> Alcotest.fail m
 
 let test_gate_schema_tolerance () =
-  (* Legacy bare-list baselines still work; bad documents are typed
-     errors, and unknown (program, threads) keys are skipped. *)
+  (* Only schema v2 is read: v1 and the bare-list shape are typed errors,
+     as are other documents; unknown (program, threads) keys are skipped. *)
   let wrapped = bench_doc ~execute_s:0.2 ~classify_s:0.001 ~counter:1000 () in
-  let legacy =
-    bench_doc ~wrap:false ~execute_s:0.2 ~classify_s:0.001 ~counter:1000 ()
+  let entry_list =
+    match Json.member "entries" wrapped with
+    | Some l -> l
+    | None -> Alcotest.fail "bench_doc lacks entries"
   in
-  (match Gate.check ~threshold_pct:25.0 ~baseline:legacy ~current:wrapped () with
-  | Ok { Gate.regressions = []; compared = 3 } -> ()
-  | Ok _ -> Alcotest.fail "legacy baseline mis-compared"
-  | Error m -> Alcotest.fail m);
+  (match Gate.check ~threshold_pct:25.0 ~baseline:entry_list ~current:wrapped () with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "bare-list baseline accepted");
+  (match
+     Gate.entries
+       (Json.Obj [ ("schema_version", Json.Int 1); ("entries", entry_list) ])
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "schema v1 accepted");
   (match Gate.entries (Json.Obj [ ("schema_version", Json.Int 99) ]) with
   | Error m ->
       Alcotest.(check bool) "version in message" true
@@ -684,7 +688,7 @@ let test_gate_schema_tolerance () =
   let other =
     Json.Obj
       [
-        ("schema_version", Json.Int 1);
+        ("schema_version", Json.Int 2);
         ( "entries",
           Json.List
             [
@@ -719,8 +723,8 @@ let test_gate_on_committed_baseline () =
     | Error m -> Alcotest.fail ("baseline does not parse: " ^ m)
     | Ok doc -> (
         (match Json.member "schema_version" doc with
-        | Some (Json.Int (1 | 2)) -> ()
-        | _ -> Alcotest.fail "baseline lacks a supported schema_version");
+        | Some (Json.Int 2) -> ()
+        | _ -> Alcotest.fail "baseline is not schema v2");
         match Gate.check ~threshold_pct:25.0 ~baseline:doc ~current:doc () with
         | Ok { Gate.regressions = []; compared } ->
             Alcotest.(check bool) "baseline self-comparison is non-trivial"
@@ -730,27 +734,6 @@ let test_gate_on_committed_baseline () =
               (List.length o.Gate.regressions)
         | Error m -> Alcotest.fail m)
   end
-
-(* ------------------------------------------------------------------ *)
-(* Engine equivalence through the driver                                *)
-
-let test_engines_agree () =
-  let run engine =
-    let options = { Driver.default_options with engine; measure = false } in
-    match
-      Driver.run ~options ~name:"example2" ~params:[ ("n", 10) ]
-        Loopir.Builtin.example2
-    with
-    | Ok { concrete = Driver.Rec { c; _ }; _ } -> c
-    | Ok _ -> Alcotest.fail "REC expected"
-    | Error e -> Alcotest.fail (Driver.error_to_string e)
-  in
-  let a = run `Enum and b = run `Scan in
-  Alcotest.(check bool) "same P1" true
-    (a.Core.Partition.p1_pts = b.Core.Partition.p1_pts);
-  Alcotest.(check bool) "same chains" true
-    (List.sort compare (Core.Chain.to_lists a.Core.Partition.chains)
-    = List.sort compare (Core.Chain.to_lists b.Core.Partition.chains))
 
 (* ------------------------------------------------------------------ *)
 (* Codegen through the pipeline                                         *)
@@ -817,7 +800,6 @@ let () =
           Alcotest.test_case "report contents" `Quick test_run_report_contents;
           Alcotest.test_case "text and JSON rendering" `Quick
             test_run_text_and_json;
-          Alcotest.test_case "enum ≡ scan engines" `Quick test_engines_agree;
           Alcotest.test_case "codegen availability" `Quick
             test_codegen_rec_and_unsupported;
         ] );

@@ -162,8 +162,8 @@ let counter name =
   | Some v -> v
   | None -> 0
 
-let request () =
-  Proto.request ~params:[ ("n", 24) ] ~id:"r1" ~name:"warm"
+let request n =
+  Proto.request ~params:[ ("n", n) ] ~id:(Printf.sprintf "r%d" n) ~name:"warm"
     (Proto.Src "DO i = 1, n\n  A(i) = A(i-1) + 1\nENDDO\n")
 
 let service_config dir =
@@ -176,28 +176,40 @@ let service_config dir =
     store_dir = Some dir;
   }
 
+(* Three distinct keys.  After a restart on the same directory, each is
+   answered from the store: disk-warm hits = store reads = distinct keys.
+   A second lookup is then a memory hit, not another store read. *)
 let test_disk_warm_short_circuit () =
   let dir = temp_dir "store-svc" in
+  let keys = [ 24; 25; 26 ] in
+  let distinct = List.length keys in
+  let run_all svc = List.map (fun n -> Service.run_one svc (request n)) keys in
+  let cached rs = List.length (List.filter (fun r -> r.Proto.cached) rs) in
+  let all_ok what rs =
+    List.iter
+      (fun r ->
+        Alcotest.(check bool) (what ^ " " ^ r.Proto.id ^ " ok") true (Proto.ok r))
+      rs
+  in
   (* first process: compute, persist *)
   let svc = Service.create ~config:(service_config dir) () in
-  let r1 = Service.run_one svc (request ()) in
-  Alcotest.(check bool) "first run ok" true (Proto.ok r1);
-  Alcotest.(check bool) "first run computed" false r1.Proto.cached;
+  let first = run_all svc in
+  all_ok "first run" first;
+  Alcotest.(check int) "first run computed every key" 0 (cached first);
   Service.shutdown svc;
   (* "restarted process": a fresh service, cold memory cache, same dir *)
   let hits0 = counter "svc.store.hits" in
   let svc2 = Service.create ~config:(service_config dir) () in
-  let r2 = Service.run_one svc2 (request ()) in
-  Alcotest.(check bool) "disk-warm run ok" true (Proto.ok r2);
-  Alcotest.(check bool) "disk-warm run answered from the store" true
-    r2.Proto.cached;
-  Alcotest.(check bool) "store hit counter advanced" true
-    (counter "svc.store.hits" > hits0);
+  let disk = run_all svc2 in
+  all_ok "disk-warm run" disk;
+  Alcotest.(check int) "disk-warm hits = distinct keys" distinct (cached disk);
+  Alcotest.(check int) "store reads = distinct keys" distinct
+    (counter "svc.store.hits" - hits0);
   (* promotion: the second lookup is a memory hit, not a second store
      read *)
   let hits1 = counter "svc.store.hits" in
-  let r3 = Service.run_one svc2 (request ()) in
-  Alcotest.(check bool) "promoted to memory" true r3.Proto.cached;
+  let warm = run_all svc2 in
+  Alcotest.(check int) "promoted to memory" distinct (cached warm);
   Alcotest.(check int) "no second store read" hits1
     (counter "svc.store.hits");
   Service.shutdown svc2

@@ -314,11 +314,19 @@ let test_dnf_runner_ownership () =
       Service.shutdown live)
     [ true; false ]
 
-(* With one worker the batch is sequential, so every duplicate after the
-   first must be a cache hit — no miss race is possible. *)
+(* Four nests, eight copies each, at 1, 2 and 4 domains.  The cold pass
+   answers every request; sequentially, every copy after the first hits.
+   A warm re-run of the same batch must hit every request, whatever the
+   domain count. *)
 let test_service_duplicate_hits () =
-  let svc = Service.create ~config:(quiet_config ~domains:1) () in
-  let before = Service.cache_stats svc in
+  let nests =
+    [
+      ("example1", Loopir.Builtin.example1);
+      ("fig2", Loopir.Builtin.fig2);
+      ("example2", Loopir.Builtin.example2);
+      ("example3", Loopir.Builtin.example3);
+    ]
+  in
   let requests =
     List.concat_map
       (fun copy ->
@@ -329,27 +337,37 @@ let test_service_duplicate_hits () =
               ~name
               ~params:(List.map (fun p -> (p, 8)) prog.Loopir.Ast.params)
               ~mode:Proto.Classify (Proto.Prog prog))
-          [
-            ("example1", Loopir.Builtin.example1);
-            ("fig2", Loopir.Builtin.fig2);
-            ("example2", Loopir.Builtin.example2);
-          ])
-      [ 0; 1; 2; 3 ]
+          nests)
+      (List.init 8 Fun.id)
   in
-  let responses = Service.batch svc requests in
-  let after = Service.cache_stats svc in
-  Service.shutdown svc;
-  Alcotest.(check int) "one response per request" 12 (List.length responses);
   List.iter
-    (fun (r : Proto.response) ->
-      Alcotest.(check bool) (r.Proto.id ^ " ok") true (Proto.ok r))
-    responses;
-  Alcotest.(check int) "three copies of each nest hit" 9
-    (after.Lru.hits - before.Lru.hits);
-  let cached =
-    List.length (List.filter (fun r -> r.Proto.cached) responses)
-  in
-  Alcotest.(check int) "responses marked cached" 9 cached
+    (fun domains ->
+      let svc = Service.create ~config:(quiet_config ~domains) () in
+      let pass () =
+        let before = Service.cache_stats svc in
+        let responses = Service.batch svc requests in
+        let after = Service.cache_stats svc in
+        (responses, after.Lru.hits - before.Lru.hits)
+      in
+      let cold, cold_hits = pass () in
+      let warm, warm_hits = pass () in
+      Service.shutdown svc;
+      let at what = Printf.sprintf "%s at %d domain(s)" what domains in
+      List.iter
+        (fun responses ->
+          Alcotest.(check int) (at "one response per request") 32
+            (List.length responses);
+          List.iter
+            (fun (r : Proto.response) ->
+              Alcotest.(check bool) (at (r.Proto.id ^ " ok")) true (Proto.ok r))
+            responses)
+        [ cold; warm ];
+      if domains = 1 then
+        Alcotest.(check int) (at "seven copies of each nest hit") 28 cold_hits;
+      Alcotest.(check int) (at "warm re-run hits every request") 32 warm_hits;
+      Alcotest.(check int) (at "warm responses marked cached") 32
+        (List.length (List.filter (fun r -> r.Proto.cached) warm)))
+    [ 1; 2; 4 ]
 
 let test_service_error_isolation () =
   let svc = Service.create ~config:(quiet_config ~domains:2) () in
